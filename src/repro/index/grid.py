@@ -92,32 +92,33 @@ class GridIndex:
     # ------------------------------------------------------------------ #
     # population
     # ------------------------------------------------------------------ #
-    def insert(self, traj_ids: np.ndarray, points: np.ndarray) -> int:
+    def insert(self, traj_ids: np.ndarray, points: np.ndarray,
+               inside: np.ndarray | None = None) -> int:
         """Insert points (with their trajectory IDs) that fall inside the rect.
 
         Points outside the rectangle are ignored (they belong to a different
-        rectangle of the partition index).  Returns the number of points
-        actually inserted.
+        rectangle of the partition index).  ``inside`` is the boolean mask of
+        the points inside the rectangle when the caller already has it (a row
+        of the PI's containment matrix); otherwise it is computed here.
+        Returns the number of points actually inserted.
         """
         traj_ids = np.asarray(traj_ids, dtype=np.int64)
-        points = np.asarray(points, dtype=float)
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
         if len(traj_ids) != len(points):
             raise ValueError("traj_ids and points must be aligned")
-        mask = self.rect.contains_points(points) if len(points) else np.zeros(0, dtype=bool)
-        inserted = 0
-        for tid, point in zip(traj_ids[mask], points[mask]):
-            cell = self.cell_of(point[0], point[1])
-            self._staging.setdefault(cell, set()).add(int(tid))
-            inserted += 1
-        if inserted:
+        if inside is None:
+            inside = self.rect.contains_points(points)
+        cells = self.cells_of(points[inside]).tolist()
+        for tid, (cx, cy) in zip(traj_ids[inside].tolist(), cells):
+            self._staging.setdefault((cx, cy), set()).add(tid)
+        if cells:
             self._flush()
-        return inserted
+        return len(cells)
 
     def _flush(self) -> None:
         """Re-compress the posting lists of cells touched since the last flush."""
-        for cell, new_ids in self._staging.items():
+        for cell, ids in self._staging.items():
             existing = self._cells.get(cell)
-            ids = set(new_ids)
             if existing is not None:
                 # Prefer the decoded cache: after a quarantine repair it is
                 # the authoritative copy (the compressed payload may still be
@@ -265,10 +266,3 @@ class GridIndex:
         if area <= 0:
             return float(self.num_indexed_ids)
         return self.num_indexed_ids / area
-
-    def count_for_points(self, points: np.ndarray) -> int:
-        """How many of ``points`` fall inside this rectangle (TRD updates)."""
-        points = np.asarray(points, dtype=float)
-        if len(points) == 0:
-            return 0
-        return int(np.count_nonzero(self.rect.contains_points(points)))

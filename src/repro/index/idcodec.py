@@ -3,15 +3,23 @@
 Every grid cell of the partition index stores the IDs of the trajectories
 mapped to it.  Following the paper (and the cited integer-compression work)
 the sorted ID list is delta encoded -- consecutive differences are small for
-dense cells -- and the deltas are entropy coded with a Huffman codec built per
-cell.  The compressed representation records exact bit counts so that index
-sizes reported by the experiments are byte-accurate.
+dense cells -- and the deltas are entropy coded with a Huffman code fitted to
+each cell.  The compressed representation records exact bit counts so that
+index sizes reported by the experiments are byte-accurate.
+
+Every cell keeps its own code-length table, and
+:attr:`CompressedIdList.storage_bits` charges that table to the cell.  In
+memory, though, cells with equal tables share one
+:class:`~repro.utils.huffman.HuffmanCodec`: a canonical code is fixed by its
+code lengths, and most cells hold a single ID, so an index of tens of
+thousands of cells uses a few dozen distinct codecs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
+from itertools import accumulate
 
 from repro.utils.huffman import HuffmanCodec
 
@@ -32,7 +40,9 @@ class CompressedIdList:
         Number of IDs stored.
     codec:
         The Huffman codec used (kept so the list can be decompressed and so
-        the code-table overhead can be charged to the storage cost).
+        the code-table overhead can be charged to the storage cost).  It is
+        the shared codec of the list's code-length table; treat it as
+        read-only.
     """
 
     payload: bytes
@@ -59,7 +69,7 @@ def compress_ids(ids: Iterable[int]) -> CompressedIdList:
     The IDs are de-duplicated and sorted before delta encoding, matching the
     set semantics of a grid cell's posting list.
     """
-    unique = sorted(set(int(i) for i in ids))
+    unique = sorted(set(map(int, ids)))
     if not unique:
         return CompressedIdList(payload=b"", bit_length=0, first_id=0, count=0, codec=None)
     deltas = [unique[0] - unique[0]] + [b - a for a, b in zip(unique, unique[1:])]
@@ -85,12 +95,8 @@ def decompress_ids(compressed: CompressedIdList) -> list[int]:
         raise ValueError(
             f"corrupt ID list: expected {compressed.count} deltas, decoded {len(deltas)}"
         )
-    ids = []
-    current = compressed.first_id
-    for delta in deltas:
-        current += delta
-        ids.append(current)
-    return ids
+    deltas[0] += compressed.first_id
+    return list(accumulate(deltas))
 
 
 def raw_id_bits(ids: Sequence[int], bits_per_id: int = 32) -> int:

@@ -57,21 +57,23 @@ class PartitionIndex:
     # ------------------------------------------------------------------ #
     # building / updating
     # ------------------------------------------------------------------ #
-    def insert(self, traj_ids: np.ndarray, points: np.ndarray) -> np.ndarray:
+    def insert(self, traj_ids: np.ndarray, points: np.ndarray,
+               inside: np.ndarray | None = None) -> np.ndarray:
         """Insert points into the grids that cover them.
 
-        Returns a boolean mask of the points that were covered by at least
-        one rectangle (uncovered points are the ``T_uc`` of Algorithm 4).
+        ``inside`` is this PI's :meth:`_containment_matrix` of ``points``
+        (``slack=None``) when the caller already has it; otherwise it is
+        computed here.  Returns a boolean mask of the points that were
+        covered by at least one rectangle (uncovered points are the ``T_uc``
+        of Algorithm 4).
         """
         traj_ids = np.asarray(traj_ids, dtype=np.int64)
-        points = np.asarray(points, dtype=float)
-        covered = np.zeros(len(points), dtype=bool)
-        for grid in self.grids:
-            inside = grid.rect.contains_points(points) if len(points) else covered
-            if np.any(inside):
-                grid.insert(traj_ids[inside], points[inside])
-                covered |= inside
-        return covered
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        if inside is None:
+            inside = self._containment_matrix(points, slack=None)
+        for gi in np.flatnonzero(inside.any(axis=1)).tolist():
+            self.grids[gi].insert(traj_ids, points, inside[gi])
+        return inside.any(axis=0)
 
     def append_grids(self, other: "PartitionIndex") -> None:
         """Append another PI's rectangles (the *insertion* case of TPI)."""
@@ -118,14 +120,6 @@ class PartitionIndex:
     # ------------------------------------------------------------------ #
     # lookup
     # ------------------------------------------------------------------ #
-    def covered_mask(self, points: np.ndarray) -> np.ndarray:
-        """Which of ``points`` fall inside any indexed rectangle."""
-        points = np.asarray(points, dtype=float)
-        covered = np.zeros(len(points), dtype=bool)
-        for grid in self.grids:
-            covered |= grid.rect.contains_points(points)
-        return covered
-
     def lookup(self, x: float, y: float) -> list[int]:
         """Trajectory IDs whose indexed point shares the grid cell of (x, y)."""
         result: set[int] = set()
@@ -195,10 +189,12 @@ class PartitionIndex:
     def _containment_matrix(self, points: np.ndarray, slack: float | None) -> np.ndarray:
         """Boolean (num_grids, num_points) rectangle-containment matrix.
 
-        ``slack`` of ``None`` tests the rectangles as-is; otherwise each
+        ``slack`` of ``None`` tests the rectangles as-is, with the same
+        closed bounds as :meth:`Rect.contains_points`; otherwise each
         rectangle is expanded by ``slack + cell_size`` on every side, exactly
         like the scalar local-search lookup.  One broadcast replaces a
-        Python-level rectangle test per (grid, query) pair.
+        Python-level rectangle test per (grid, point) pair.  Row sums are
+        per-rectangle point counts, and ``any(axis=0)`` is the covered mask.
         """
         bounds = self._grid_bounds()
         if len(bounds) == 0:

@@ -108,8 +108,10 @@ class TemporalPartitionIndex:
 
         period = self.periods[-1]
         pi = period.index
-        covered = pi.covered_mask(points)
-        adr = self._average_dropping_rate(pi, points)
+        # One containment pass serves the ADR counts, the covered mask and
+        # every grid's insert mask.
+        inside = pi._containment_matrix(points, slack=None)
+        adr = self._average_dropping_rate(pi, inside.sum(axis=1))
         if adr > self.config.epsilon_d:
             # Close the current period and rebuild from scratch for this t.
             period.end = int(t) - 1 if int(t) > period.start else period.end
@@ -120,9 +122,7 @@ class TemporalPartitionIndex:
 
         period.end = int(t)
         # Covered points are inserted into the existing grids.
-        if np.any(covered):
-            pi.insert(traj_ids[covered], points[covered])
-        uncovered = ~covered
+        uncovered = ~pi.insert(traj_ids, points, inside)
         if np.any(uncovered):
             # Index the uncovered points with a fresh set of rectangles and
             # append them to the current PI (the "Insertion" case).  The new
@@ -138,18 +138,19 @@ class TemporalPartitionIndex:
             return "insert"
         return "reuse"
 
-    def _average_dropping_rate(self, pi: PartitionIndex, points: np.ndarray) -> float:
-        """ADR of the PI's rectangles for the new point distribution (Eq. 12-14)."""
+    def _average_dropping_rate(self, pi: PartitionIndex, counts: np.ndarray) -> float:
+        """ADR of the PI's rectangles for the new point distribution (Eq. 12-14).
+
+        ``counts[i]`` is how many of the new points rectangle ``i`` contains.
+        """
         if not pi.grids:
             return 1.0
-        baseline = pi.baseline_density
         dropped = 0
-        for grid, base in zip(pi.grids, baseline):
-            area = grid.rect.area
-            count = grid.count_for_points(points)
-            density = count / area if area > 0 else float(count)
+        for grid, base, count in zip(pi.grids, pi.baseline_density, counts.tolist()):
             if base <= 0:
                 continue
+            area = grid.rect.area
+            density = count / area if area > 0 else float(count)
             rate = (density - base) / base
             if rate < 0 and abs(rate) > self.config.epsilon_c:
                 dropped += 1

@@ -12,7 +12,8 @@ named points on the storage/decode/query path:
 ``index.cell_decode``     posting-list decode of one grid cell
                           (:mod:`repro.index.grid`)
 ``huffman.decode``        Huffman stream decode (:mod:`repro.utils.huffman`)
-``bitio.read``            bit-level reads (:mod:`repro.utils.bitio`)
+``bitio.read``            bit-stream reads, once per stream
+                          (:mod:`repro.utils.bitio`)
 ``summary.reconstruct``   point reconstruction (:mod:`repro.core.summary`)
 ========================  ====================================================
 

@@ -262,7 +262,12 @@ def _decode_grid(reader: ByteReader, config: IndexConfig) -> tuple[GridIndex, fl
         for _ in range(reader.u64()):
             symbol = reader.i64()
             lengths[symbol] = reader.u8()
-        codec = HuffmanCodec.from_code_lengths(lengths) if lengths else None
+        if count and not lengths:
+            raise ArtifactFormatError(f"INDEX cell {cell} holds {count} IDs but no code table")
+        try:
+            codec = HuffmanCodec.from_code_lengths(lengths) if lengths else None
+        except ValueError as exc:
+            raise ArtifactFormatError(f"INDEX cell {cell} has a bad code table: {exc}") from exc
         grid._cells[cell] = CompressedIdList(
             payload=payload, bit_length=bit_length,
             first_id=first_id, count=count, codec=codec,

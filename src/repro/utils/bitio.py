@@ -96,10 +96,47 @@ class BitWriter:
         return "".join("1" if b else "0" for b in self._bits)
 
 
+def pack_uint(value: int, bit_length: int) -> bytes:
+    """Render ``value`` as a ``bit_length``-bit stream, zero-padded to whole bytes.
+
+    Bits are laid out most-significant first, exactly like
+    :meth:`BitWriter.to_bytes`; :func:`read_uint` is the inverse.
+
+    >>> pack_uint(0b1011, 4)
+    b'\\xb0'
+    """
+    pad = -bit_length % 8
+    return (value << pad).to_bytes((bit_length + pad) // 8, "big")
+
+
+def read_uint(data: bytes, bit_length: int) -> int:
+    """The first ``bit_length`` bits of ``data`` as one unsigned integer.
+
+    This opens a whole stream at once, so the ``bitio.read`` fault point is
+    checked once per stream (keyed by ``bit_length``), not once per bit.
+    Raises ``EOFError`` when ``data`` holds fewer than ``bit_length`` bits.
+
+    >>> read_uint(b'\\xb0', 4) == 0b1011
+    True
+    """
+    if _faults.ACTIVE is not None:
+        _faults.ACTIVE.check("bitio.read", key=bit_length)
+    spare = 8 * len(data) - bit_length
+    if spare < 0:
+        raise EOFError(f"bit stream holds {8 * len(data)} bits, {bit_length} requested")
+    return int.from_bytes(data, "big") >> spare
+
+
 class BitReader:
-    """Reads bits most-significant-bit first from bytes or a bit string."""
+    """Reads bits most-significant-bit first from bytes or a bit string.
+
+    The ``bitio.read`` fault point is checked once per stream, when the
+    reader is created.
+    """
 
     def __init__(self, data: bytes | str, bit_length: int | None = None) -> None:
+        if _faults.ACTIVE is not None:
+            _faults.ACTIVE.check("bitio.read", key=bit_length)
         if isinstance(data, str):
             self._bits = [1 if ch == "1" else 0 for ch in data]
         else:
@@ -118,8 +155,6 @@ class BitReader:
 
     def read_bit(self) -> int:
         """Read a single bit; raises ``EOFError`` when exhausted."""
-        if _faults.ACTIVE is not None:
-            _faults.ACTIVE.check("bitio.read", key=self._pos)
         if self._pos >= len(self._bits):
             raise EOFError("bit stream exhausted")
         bit = self._bits[self._pos]

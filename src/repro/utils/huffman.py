@@ -4,17 +4,27 @@ Section 5.1 of the paper compresses the trajectory-ID lists stored in every
 grid cell with delta encoding followed by Huffman codes.  This module provides
 the Huffman half: it builds an optimal prefix code from symbol frequencies,
 exposes the per-symbol code table (so storage cost can be accounted exactly)
-and supports round-trip encode/decode through :class:`~repro.utils.bitio`.
+and supports round-trip encode/decode through :mod:`repro.utils.bitio`.
+
+A canonical code is fixed by its code lengths alone, so
+:meth:`HuffmanCodec.from_symbols` and :meth:`HuffmanCodec.from_code_lengths`
+hand out one shared codec per distinct code-length table instead of building
+one per posting list.  Shared codecs are immutable and held weakly: once no
+posting list uses a table, its codec is freed.
 """
 
 from __future__ import annotations
 
 import heapq
+import weakref
 from collections import Counter
 from collections.abc import Iterable, Sequence
 
 from repro.reliability import faults as _faults
-from repro.utils.bitio import BitReader, BitWriter
+from repro.utils.bitio import pack_uint, read_uint
+
+#: Code-length table -> the live shared codec for it (see ``HuffmanCodec._shared``).
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class HuffmanCodec:
@@ -32,24 +42,31 @@ class HuffmanCodec:
       occurrence, which keeps decode unambiguous.
     * Codes are *canonical*: generated in (length, symbol) order so that a
       codec can be reconstructed from code lengths alone if needed.
+    * The constructor builds a private codec; the ``from_*`` class methods
+      return the shared codec of the resulting code-length table.
     """
 
     def __init__(self, frequencies: dict) -> None:
         freqs = {sym: int(count) for sym, count in frequencies.items() if count > 0}
         if not freqs:
             raise ValueError("HuffmanCodec requires at least one symbol with positive count")
-        self._lengths = _code_lengths(freqs)
-        self._codes = _canonical_codes(self._lengths)
-        self._decode_table = {code: sym for sym, code in self._codes.items()}
+        self._build(_code_lengths(freqs))
 
     @classmethod
     def from_symbols(cls, symbols: Iterable) -> "HuffmanCodec":
-        """Build a codec from a raw iterable of symbols."""
-        return cls(Counter(symbols))
+        """The shared codec for the frequencies of a raw iterable of symbols."""
+        # A plain dict counts the typical one-to-three-symbol posting list
+        # several times faster than a Counter.
+        freqs: dict = {}
+        for sym in symbols:
+            freqs[sym] = freqs.get(sym, 0) + 1
+        if not freqs:
+            raise ValueError("HuffmanCodec requires at least one symbol with positive count")
+        return cls._shared(_code_lengths(freqs))
 
     @classmethod
     def from_code_lengths(cls, lengths: dict) -> "HuffmanCodec":
-        """Rebuild a codec from its per-symbol canonical code lengths.
+        """The shared codec for per-symbol canonical code lengths.
 
         Because codes are canonical, the ``(symbol, code length)`` pairs
         fully determine the code table; this is what the model-artifact
@@ -63,18 +80,54 @@ class HuffmanCodec:
         Raises
         ------
         ValueError
-            If ``lengths`` is empty or contains a non-positive length.
+            If ``lengths`` is empty, contains a non-positive length, or is
+            over-full (Kraft sum above 1, so no prefix code has these
+            lengths).
         """
         if not lengths:
             raise ValueError("from_code_lengths requires at least one symbol")
         cleaned = {sym: int(length) for sym, length in lengths.items()}
-        if any(length <= 0 for length in cleaned.values()):
+        if min(cleaned.values()) <= 0:
             raise ValueError("code lengths must be positive")
-        codec = cls.__new__(cls)
-        codec._lengths = cleaned
-        codec._codes = _canonical_codes(cleaned)
-        codec._decode_table = {code: sym for sym, code in codec._codes.items()}
+        return cls._shared(cleaned)
+
+    @classmethod
+    def _shared(cls, lengths: dict) -> "HuffmanCodec":
+        # Symbols keep their type in the key, so tables over ``1`` and ``1.0``
+        # (equal as dict keys) get codecs that decode to their own symbols.
+        key = frozenset([(type(sym), sym, length) for sym, length in lengths.items()])
+        codec = _SHARED.get(key)
+        if codec is None:
+            codec = cls.__new__(cls)
+            codec._build(lengths)
+            _SHARED[key] = codec
         return codec
+
+    def _build(self, lengths: dict) -> None:
+        """Assign canonical codes and the per-length decode table.
+
+        Codes are handed out in (length, ``repr(symbol)``) order.  For every
+        length ``L`` up to the longest, :attr:`_steps` holds the first code
+        of length ``L``, how many codes have that length, and the index of
+        the first such symbol in :attr:`_symbols`.
+        """
+        ordered = sorted(lengths.items(), key=lambda kv: (kv[1], repr(kv[0])))
+        longest = ordered[-1][1]
+        if sum(1 << (longest - length) for _, length in ordered) > 1 << longest:
+            raise ValueError("code lengths are over-full (Kraft sum above 1)")
+        self._codes: dict = {}
+        self._symbols = [sym for sym, _ in ordered]
+        per_length = Counter(length for _, length in ordered)
+        self._steps: list[tuple[int, int, int]] = []
+        code = index = 0
+        for length in range(1, longest + 1):
+            count = per_length[length]
+            self._steps.append((code, count, index))
+            for sym in self._symbols[index:index + count]:
+                self._codes[sym] = (code, length)
+                code += 1
+            index += count
+            code <<= 1
 
     @property
     def code_lengths(self) -> dict:
@@ -83,43 +136,56 @@ class HuffmanCodec:
         Together with :meth:`from_code_lengths` this makes the codec
         round-trippable without storing frequencies.
         """
-        return dict(self._lengths)
+        return {sym: length for sym, (_code, length) in self._codes.items()}
 
     @property
     def code_table(self) -> dict:
         """Mapping symbol -> binary code string."""
-        return dict(self._codes)
+        return {sym: self.code_for(sym) for sym in self._codes}
 
     def code_for(self, symbol) -> str:
         """Return the binary code of ``symbol``; raises ``KeyError`` if unknown."""
-        return self._codes[symbol]
+        code, length = self._codes[symbol]
+        return format(code, f"0{length}b")
 
     def encoded_bit_length(self, symbols: Sequence) -> int:
         """Exact number of bits needed to encode ``symbols``."""
-        return sum(len(self._codes[sym]) for sym in symbols)
+        return sum(self._codes[sym][1] for sym in symbols)
 
     def encode(self, symbols: Sequence) -> tuple[bytes, int]:
         """Encode ``symbols``; returns ``(payload_bytes, bit_length)``."""
-        writer = BitWriter()
+        codes = self._codes
+        value = bit_length = 0
         for sym in symbols:
-            writer.write_code(self._codes[sym])
-        return writer.to_bytes(), writer.bit_length
+            code, length = codes[sym]
+            value = (value << length) | code
+            bit_length += length
+        return pack_uint(value, bit_length), bit_length
 
     def decode(self, payload: bytes, bit_length: int) -> list:
-        """Decode ``bit_length`` bits of ``payload`` back into symbols."""
+        """Decode ``bit_length`` bits of ``payload`` back into symbols.
+
+        Raises ``EOFError`` when ``payload`` is shorter than ``bit_length``
+        bits and ``ValueError`` when the bits are not a sequence of codes.
+        """
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.check("huffman.decode", key=bit_length)
-        reader = BitReader(payload, bit_length=bit_length)
+        value = read_uint(payload, bit_length)
+        symbols, steps = self._symbols, self._steps
         out: list = []
-        buffer = ""
-        while reader.remaining:
-            buffer += "1" if reader.read_bit() else "0"
-            symbol = self._decode_table.get(buffer)
-            if symbol is not None:
-                out.append(symbol)
-                buffer = ""
-        if buffer:
-            raise ValueError("bit stream ended inside a Huffman code")
+        pos = bit_length
+        while pos:
+            code = 0
+            for first, count, index in steps:
+                if not pos:
+                    raise ValueError("bit stream ended inside a Huffman code")
+                pos -= 1
+                code = (code << 1) | ((value >> pos) & 1)
+                if code - first < count:
+                    out.append(symbols[index + code - first])
+                    break
+            else:
+                raise ValueError("bit stream holds a code outside the Huffman table")
         return out
 
     def table_bit_cost(self, symbol_bits: int = 32, length_bits: int = 5) -> int:
@@ -150,17 +216,3 @@ def _code_lengths(freqs: dict) -> dict:
         heapq.heappush(heap, (count_a + count_b, counter, syms_a + syms_b))
         counter += 1
     return lengths
-
-
-def _canonical_codes(lengths: dict) -> dict:
-    """Assign canonical prefix codes given per-symbol code lengths."""
-    ordered = sorted(lengths.items(), key=lambda kv: (kv[1], repr(kv[0])))
-    codes: dict = {}
-    code = 0
-    prev_length = 0
-    for sym, length in ordered:
-        code <<= length - prev_length
-        codes[sym] = format(code, f"0{length}b")
-        code += 1
-        prev_length = length
-    return codes

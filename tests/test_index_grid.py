@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.index.grid import GridIndex
+from repro.index.pi import PartitionIndex
 from repro.index.rectangles import Rect
 
 
@@ -73,9 +74,18 @@ class TestStatistics:
         assert grid.density() == pytest.approx(0.5)
 
     def test_count_for_points(self, grid):
+        # A rectangle's point count is its row sum in the PI's containment
+        # matrix (the TRD updates of the TPI read it from there).
+        pi = PartitionIndex(t=0, grids=[grid])
         points = np.array([[0.5, 0.5], [100.0, 100.0], [9.0, 9.0]])
-        assert grid.count_for_points(points) == 2
-        assert grid.count_for_points(np.empty((0, 2))) == 0
+        assert pi._containment_matrix(points, slack=None).sum(axis=1).tolist() == [2]
+        assert pi._containment_matrix(np.empty((0, 2)), slack=None).sum(axis=1).tolist() == [0]
+
+    def test_insert_takes_mask_from_caller(self, grid):
+        points = np.array([[0.5, 0.5], [100.0, 100.0], [9.0, 9.0]])
+        assert grid.insert(np.array([1, 2, 3]), points, np.array([True, False, False])) == 1
+        assert grid.num_indexed_ids == 1
+        assert grid.lookup(9.0, 9.0) == []
 
     def test_storage_bits_grow_with_content(self, grid):
         empty_bits = grid.storage_bits()

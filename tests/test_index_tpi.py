@@ -1,9 +1,12 @@
 """Tests for the temporal partition-based index (Algorithm 4)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core.config import IndexConfig
+from repro.data.synthetic import generate_porto_like
 from repro.data.trajectory import Trajectory, TrajectoryDataset
 from repro.index.tpi import TemporalPartitionIndex, TimePeriod
 
@@ -33,6 +36,37 @@ def stable_dataset(num_traj=20, length=30, seed=1):
         jitter = rng.normal(scale=0.0002, size=(length, 2))
         trajectories.append(Trajectory(traj_id=i, points=base + jitter))
     return TrajectoryDataset(trajectories)
+
+
+def staggered_dataset(seed=7):
+    """Porto-like trips with start times spread over 60 steps (drifting data)."""
+    base = generate_porto_like(num_trajectories=24, max_length=40, seed=seed)
+    rng = np.random.default_rng(seed)
+    return TrajectoryDataset(
+        Trajectory(tr.traj_id, tr.points, tr.timestamps + int(rng.integers(0, 60)))
+        for tr in base
+    )
+
+
+def reference_action(tpi, points, config):
+    """Algorithm 4's decision for the next slice, one rectangle test at a time."""
+    if not tpi.periods:
+        return "initial"
+    pi = tpi.periods[-1].index
+    masks = [grid.rect.contains_points(points) for grid in pi.grids]
+    dropped = 0
+    for grid, base, mask in zip(pi.grids, pi.baseline_density, masks):
+        count = int(np.count_nonzero(mask))
+        area = grid.rect.area
+        density = count / area if area > 0 else float(count)
+        if base <= 0:
+            continue
+        rate = (density - base) / base
+        if rate < 0 and abs(rate) > config.epsilon_c:
+            dropped += 1
+    if (dropped / len(pi.grids) if pi.grids else 1.0) > config.epsilon_d:
+        return "rebuild"
+    return "reuse" if np.any(masks, axis=0).all() else "insert"
 
 
 class TestBuild:
@@ -217,3 +251,25 @@ class TestBatchScalarBoundaryEquivalence:
             assert got == tpi.lookup(x, y, t), f"t={t}"
             hits += bool(got)
         assert hits, "no probe hit the index; comparison is vacuous"
+
+
+class TestInsertSliceActions:
+    def test_staggered_actions_match_per_rectangle_reference(self):
+        config = IndexConfig()
+        tpi = TemporalPartitionIndex(config)
+        actions = []
+        for slice_ in staggered_dataset().iter_time_slices():
+            if len(slice_) == 0:
+                continue
+            expected = reference_action(tpi, slice_.points, config)
+            actions.append(tpi.insert_slice(slice_.t, slice_.traj_ids, slice_.points))
+            assert actions[-1] == expected, f"t={slice_.t}"
+        # Counts of the per-rectangle implementation this one replaced.
+        assert Counter(actions) == {"initial": 1, "rebuild": 16, "insert": 69, "reuse": 6}
+        assert (tpi.stats.num_rebuilds, tpi.stats.num_insertions) == (16, 69)
+
+    def test_build_matches_slice_by_slice_insertion(self):
+        dataset = staggered_dataset()
+        built = TemporalPartitionIndex(IndexConfig()).build(dataset)
+        assert (built.stats.num_rebuilds, built.stats.num_insertions) == (16, 69)
+        assert built.num_periods == 17

@@ -9,10 +9,13 @@ instead of returning garbage results.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import PPQTrajectory
+from repro.cli import EXIT_ARTIFACT, main
 from repro.core.config import CQCConfig
 from repro.data.synthetic import generate_porto_like
 from repro.queries.batch import Workload
@@ -25,7 +28,8 @@ from repro.storage import (
     load_model,
     save_model,
 )
-from repro.storage.format import FORMAT_VERSION, MAGIC, pack_artifact
+from repro.storage.format import FORMAT_VERSION, MAGIC, pack_artifact, unpack_artifact
+from repro.storage.io import _encode_index
 
 
 @pytest.fixture(scope="module")
@@ -359,3 +363,43 @@ def test_non_strict_load_of_clean_artifact_reports_all_ok(salvage_saved):
     report = loaded.load_report
     assert report.clean
     assert [s.status for s in report.sections] == ["ok"] * len(report.sections)
+
+
+class _StoredTable:
+    """Stands in for a codec whose stored code-length table is ``code_lengths``."""
+
+    def __init__(self, code_lengths):
+        self.code_lengths = code_lengths
+
+
+def _with_code_table(path, tmp_path, lengths):
+    """Copy of the artifact whose first INDEX cell stores ``lengths`` as its table.
+
+    INDEX is re-encoded and the artifact repacked, so every checksum is valid.
+    """
+    index = load_model(path).engine.index
+    grid = next(g for period in index.periods for g in period.index.grids if g._cells)
+    cell = min(grid._cells)
+    grid._cells[cell] = dataclasses.replace(grid._cells[cell], codec=_StoredTable(lengths))
+    _version, payloads = unpack_artifact(path.read_bytes())
+    payloads["INDEX"] = _encode_index(index)
+    bad = tmp_path / "bad_table.ppq"
+    bad.write_bytes(pack_artifact(list(payloads.items())))
+    return bad
+
+
+@pytest.mark.parametrize("lengths", [{0: 0}, {0: 1, 1: 1, 2: 1}, {}],
+                         ids=["zero-length", "over-full", "missing"])
+def test_bad_code_table_is_a_format_error(salvage_saved, tmp_path, dataset, capsys, lengths):
+    original, path = salvage_saved
+    bad = _with_code_table(path, tmp_path, lengths)
+    with pytest.raises(ArtifactFormatError, match="code table"):
+        load_model(bad)
+    assert main(["load", str(bad)]) == EXIT_ARTIFACT
+    err = capsys.readouterr().err
+    assert "error: artifact" in err and "Traceback" not in err
+    assert main(["load", "--no-strict", str(bad)]) == 0
+    assert "INDEX: rebuilt" in capsys.readouterr().out
+    loaded = load_model(bad, strict=False)
+    assert loaded.load_report.rebuilt == ["INDEX"]
+    _assert_strq_equal(original, loaded, dataset)

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.bitio import BitReader, BitWriter
+from repro.reliability import FaultPlan, inject_faults
+from repro.utils.bitio import BitReader, BitWriter, pack_uint, read_uint
 
 
 class TestBitWriter:
@@ -114,3 +115,24 @@ class TestUnaryAndGamma:
             writer.write_bits(value, 20)
         reader = BitReader(writer.to_bytes(), bit_length=writer.bit_length)
         assert [reader.read_bits(20) for _ in values] == values
+
+
+class TestWholeStream:
+    @given(st.lists(st.integers(min_value=0, max_value=1), max_size=70))
+    def test_pack_and_read_match_bitwriter(self, bits):
+        writer = BitWriter()
+        for bit in bits:
+            writer.write_bit(bit)
+        value = int("".join(map(str, bits)) or "0", 2)
+        assert pack_uint(value, len(bits)) == writer.to_bytes()
+        assert read_uint(writer.to_bytes() + b"\xff", len(bits)) == value
+
+    def test_read_beyond_payload_raises_eof(self):
+        with pytest.raises(EOFError):
+            read_uint(b"\x00", 9)
+
+    def test_fault_point_checked_once_per_stream(self):
+        with inject_faults(FaultPlan().add("bitio.read", probability=0.0)) as injector:
+            read_uint(b"\xff\xff", 16)
+            BitReader(b"\xff\xff").read_bits(16)
+        assert injector.checked == {"bitio.read": 2}

@@ -1,9 +1,39 @@
 """Tests for repro.utils.huffman."""
 
+import gc
+import weakref
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import PPQTrajectory
+from repro.data.synthetic import generate_porto_like
+from repro.index.grid import GridIndex, PostingDecodeError
+from repro.index.idcodec import CompressedIdList, compress_ids
+from repro.index.rectangles import Rect
+from repro.utils import huffman
+from repro.utils.bitio import BitWriter
 from repro.utils.huffman import HuffmanCodec
+
+
+def reference_canonical_codes(lengths):
+    """Canonical code strings, assigned in (length, repr(symbol)) order."""
+    codes, code, previous = {}, 0, 0
+    for sym, length in sorted(lengths.items(), key=lambda kv: (kv[1], repr(kv[0]))):
+        code <<= length - previous
+        codes[sym] = format(code, f"0{length}b")
+        code += 1
+        previous = length
+    return codes
+
+
+def reference_encode(codes, symbols):
+    """Encode through code strings and a :class:`BitWriter`."""
+    writer = BitWriter()
+    for sym in symbols:
+        writer.write_code(codes[sym])
+    return writer.to_bytes(), writer.bit_length
 
 
 class TestCodecConstruction:
@@ -72,3 +102,79 @@ class TestEncodeDecode:
         alphabet = len(set(symbols))
         fixed_bits = max(1, (alphabet - 1).bit_length())
         assert codec.encoded_bit_length(symbols) <= len(symbols) * max(fixed_bits, 1) + len(symbols)
+
+    @given(st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=200))
+    def test_encode_matches_bitwriter_reference(self, symbols):
+        codec = HuffmanCodec.from_symbols(symbols)
+        codes = reference_canonical_codes(codec.code_lengths)
+        assert codec.code_table == codes
+        assert codec.encode(symbols) == reference_encode(codes, symbols)
+
+    @given(st.sets(st.integers(min_value=0, max_value=5000), min_size=1, max_size=120))
+    def test_compress_ids_matches_bitwriter_reference(self, ids):
+        unique = sorted(ids)
+        deltas = [0] + [b - a for a, b in zip(unique, unique[1:])]
+        lengths = HuffmanCodec(Counter(deltas)).code_lengths
+        payload, bit_length = reference_encode(reference_canonical_codes(lengths), deltas)
+        compressed = compress_ids(ids)
+        assert (compressed.payload, compressed.bit_length) == (payload, bit_length)
+        assert compressed.codec.code_lengths == lengths
+        assert (compressed.first_id, compressed.count) == (unique[0], len(unique))
+
+
+class TestDecodeErrors:
+    """Corrupt streams raise what ``GridIndex._decode_cell`` turns into
+    :class:`PostingDecodeError`."""
+
+    @pytest.mark.parametrize("lengths, payload, bit_length", [
+        ({"a": 1, "b": 2, "c": 2}, b"\x80", 1),   # "1": ends inside "10"/"11"
+        ({7: 1}, b"\x80", 1),                     # the unused "1" of a one-symbol code
+        ({7: 1}, b"\x00", 9),                     # bit_length beyond the payload
+    ])
+    def test_corrupt_stream_raises(self, lengths, payload, bit_length):
+        codec = HuffmanCodec.from_code_lengths(lengths)
+        with pytest.raises((ValueError, EOFError)):
+            codec.decode(payload, bit_length)
+        grid = GridIndex(Rect(0.0, 0.0, 1.0, 1.0), cell_size=1.0)
+        compressed = CompressedIdList(payload=payload, bit_length=bit_length, first_id=0,
+                                      count=1, codec=codec)
+        with pytest.raises(PostingDecodeError):
+            grid._decode_cell((0, 0), compressed)
+
+
+class TestSharedCodecs:
+    def test_equal_tables_share_one_codec(self):
+        codec = HuffmanCodec.from_symbols([3, 3, 5])
+        assert HuffmanCodec.from_code_lengths(codec.code_lengths) is codec
+        assert HuffmanCodec.from_symbols([5, 3, 5]) is codec
+        # The constructor builds a private codec.
+        assert HuffmanCodec({3: 2, 5: 1}) is not codec
+
+    def test_equal_symbols_of_other_types_keep_their_own_codec(self):
+        ints = HuffmanCodec.from_code_lengths({1: 1})
+        floats = HuffmanCodec.from_code_lengths({1.0: 1})
+        assert ints is not floats
+        assert type(floats.decode(b"\x00", 1)[0]) is float
+
+    @pytest.mark.parametrize("lengths", [{0: 0}, {0: -1, 1: 1}, {0: 1, 1: 1, 2: 1},
+                                         {0: 1, 1: 2, 2: 2, 3: 2}])
+    def test_bad_tables_rejected(self, lengths):
+        with pytest.raises(ValueError):
+            HuffmanCodec.from_code_lengths(lengths)
+
+    def test_dropped_system_frees_its_codecs(self, monkeypatch):
+        assert isinstance(huffman._SHARED, weakref.WeakValueDictionary)
+        # A fresh table, so codecs that other live objects share do not count.
+        table = weakref.WeakValueDictionary()
+        monkeypatch.setattr(huffman, "_SHARED", table)
+        dataset = generate_porto_like(num_trajectories=6, max_length=35, seed=2)
+        system = PPQTrajectory.ppq_s().fit(dataset)
+        codecs = [cl.codec for period in system.engine.index.periods
+                  for grid in period.index.grids for cl in grid._cells.values()]
+        # One codec per distinct table, and every one of them is shared.
+        tables = {frozenset(codec.code_lengths.items()) for codec in codecs}
+        assert len(codecs) > len({id(codec) for codec in codecs}) == len(tables)
+        assert {id(codec) for codec in codecs} <= {id(codec) for codec in table.values()}
+        del system, codecs
+        gc.collect()
+        assert len(table) == 0
