@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
-Each benchmark module reproduces one table or figure of the paper (see
-DESIGN.md for the experiment index).  The workloads are synthetic stand-ins
+Each benchmark module reproduces one table or figure of the paper (see the
+"Benchmarks" section of README.md).  The workloads are synthetic stand-ins
 for Porto and GeoLife (see ``repro.data.synthetic``), sized so the whole
 harness finishes in minutes on a laptop; the *shape* of the results -- which
 method wins, by roughly what factor, how quantities move along each sweep --

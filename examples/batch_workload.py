@@ -25,7 +25,7 @@ import numpy as np
 
 from repro import CQCConfig, IndexConfig, PPQTrajectory
 from repro.data import generate_porto_like
-from repro.queries import load_workload
+from repro.queries import Workload
 
 
 def build_workload_entries(dataset, num_queries: int = 200, seed: int = 11) -> list[dict]:
@@ -69,7 +69,7 @@ def main() -> None:
     entries = build_workload_entries(dataset)
     workload_path = Path(tempfile.gettempdir()) / "repro_batch_workload.json"
     workload_path.write_text(json.dumps({"queries": entries}, indent=2))
-    workload = load_workload(workload_path)
+    workload = Workload.from_file(workload_path)
     counts = workload.counts()
     print(f"workload: {len(workload)} queries "
           f"({counts['strq']} strq, {counts['tpq']} tpq, {counts['exact']} exact)")

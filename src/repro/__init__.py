@@ -25,9 +25,6 @@ A from-scratch Python reproduction of Wang & Ferhatosmanoglu, PVLDB 14(2),
 * :mod:`repro.reliability` -- fault injection (:class:`FaultPlan` /
   :func:`inject_faults`), retry policies, salvage load reports and graceful
   query degradation for fault-tolerant serving;
-* :mod:`repro.parallel` -- multiprocess batch serving
-  (:class:`ParallelExecutor`): workloads sharded across worker processes
-  that each load a model artifact once, with bit-identical results.
 """
 
 from repro.core.config import CQCConfig, IndexConfig, PPQConfig, PartitionCriterion
@@ -35,7 +32,6 @@ from repro.core.epq import ErrorBoundedPredictiveQuantizer
 from repro.core.pipeline import PPQTrajectory
 from repro.core.ppq import PartitionwisePredictiveQuantizer
 from repro.core.summary import TrajectorySummary
-from repro.parallel import ParallelExecutor
 from repro.queries.engine import QueryEngine
 from repro.reliability import (
     FaultError,
@@ -46,7 +42,7 @@ from repro.reliability import (
     inject_faults,
 )
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 from repro.storage import inspect_model, load_model, save_model  # noqa: E402
 
@@ -60,7 +56,6 @@ __all__ = [
     "ErrorBoundedPredictiveQuantizer",
     "TrajectorySummary",
     "QueryEngine",
-    "ParallelExecutor",
     "FaultError",
     "FaultPlan",
     "LoadReport",

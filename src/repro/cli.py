@@ -63,7 +63,7 @@ from repro.core.pipeline import PPQTrajectory
 from repro.data.loaders import load_plt_directory, load_porto_csv
 from repro.data.synthetic import generate_geolife_like, generate_porto_like
 from repro.metrics.accuracy import mean_absolute_error
-from repro.queries.batch import QuerySpec, Workload, WorkloadError, load_workload
+from repro.queries.batch import QuerySpec, Workload, WorkloadError
 from repro.queries.engine import QueryEngine
 from repro.queries.exact import ExactQueryResult
 from repro.queries.strq import STRQResult
@@ -109,10 +109,6 @@ class _ReproArgumentParser(argparse.ArgumentParser):
             self.error(f"{command} needs a dataset source "
                        "(--porto-csv/--geolife-dir/--synthetic) or --model")
         if command == "query":
-            if getattr(parsed, "jobs", 1) < 1:
-                self.error("--jobs must be >= 1")
-            if parsed.jobs > 1 and not parsed.workload:
-                self.error("--jobs applies to --workload execution; give a workload file")
             if not getattr(parsed, "workload", None):
                 missing = [flag for flag, value in
                            (("--x", parsed.x), ("--y", parsed.y), ("--t", parsed.t))
@@ -167,10 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--workload", default=None,
                        help="JSON workload file of mixed strq/tpq/exact queries, "
                             "answered through the batched query engine")
-    query.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for --workload execution; each "
-                            "worker loads the model artifact once and serves a "
-                            "share of the queries (default 1 = in-process)")
     query.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
                        help="with --model: --no-strict salvages corrupt sections "
                             "instead of refusing to load (default: strict)")
@@ -350,7 +342,7 @@ def run_query(args: argparse.Namespace, out=None) -> int:
     if isinstance(system, int):
         return system
     if getattr(args, "workload", None):
-        return _run_workload(system, args.workload, out, jobs=args.jobs)
+        return _run_workload(system, args.workload, out)
     try:
         strq = system.strq(args.x, args.y, args.t)
         print(f"STRQ ({args.x}, {args.y}, t={args.t}) -> {len(strq.candidates)} candidate(s): "
@@ -384,15 +376,10 @@ def _obtain_system(args: argparse.Namespace) -> PPQTrajectory | int:
     return system
 
 
-def _run_workload(system: PPQTrajectory, path: str, out, jobs: int = 1) -> int:
-    """Execute a JSON workload file through the batched query engine.
-
-    With ``jobs > 1`` the workload is sharded across worker processes (see
-    :mod:`repro.parallel`); each worker loads the model artifact once, and
-    results are identical to ``jobs=1``.
-    """
+def _run_workload(system: PPQTrajectory, path: str, out) -> int:
+    """Execute a JSON workload file through the batched query engine."""
     try:
-        workload = load_workload(path)
+        workload = Workload.from_file(path)
     except OSError as exc:
         print(f"error: cannot read workload file: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -405,13 +392,11 @@ def _run_workload(system: PPQTrajectory, path: str, out, jobs: int = 1) -> int:
         return EXIT_OK
     cache_before = system.summary.slice_cache.stats()
     start = time.perf_counter()
-    results = system.run_batch(workload, isolate=True, jobs=jobs)
+    results = system.run_batch(workload, isolate=True)
     elapsed = time.perf_counter() - start
     counts = workload.counts()
     described = ", ".join(f"{count} {kind}" for kind, count in counts.items() if count)
     print(f"workload            : {len(workload)} queries ({described or 'empty'})", file=out)
-    if jobs > 1:
-        print(f"jobs                : {jobs} worker processes", file=out)
     print(f"batch time (s)      : {elapsed:.3f}", file=out)
     if elapsed > 0:
         print(f"throughput (q/s)    : {len(workload) / elapsed:.0f}", file=out)
@@ -429,15 +414,12 @@ def _run_workload(system: PPQTrajectory, path: str, out, jobs: int = 1) -> int:
         print(f"TPQ paths           : {total_paths}", file=out)
     if counts["exact"]:
         print(f"exact matches       : {total_matches}", file=out)
-    if jobs == 1:
-        # Report counter deltas so the line describes this workload, not the
-        # slice reconstructions done while the index was built.  With jobs > 1
-        # reconstruction happens in worker-process caches, so the parent's
-        # counters say nothing about the workload and the line is omitted.
-        cache = system.summary.slice_cache.stats()
-        print(f"slice cache         : {cache['hits'] - cache_before['hits']} hits / "
-              f"{cache['misses'] - cache_before['misses']} misses "
-              f"({cache['evictions'] - cache_before['evictions']} evictions)", file=out)
+    # Report counter deltas so the line describes this workload, not the
+    # slice reconstructions done while the index was built.
+    cache = system.summary.slice_cache.stats()
+    print(f"slice cache         : {cache['hits'] - cache_before['hits']} hits / "
+          f"{cache['misses'] - cache_before['misses']} misses "
+          f"({cache['evictions'] - cache_before['evictions']} evictions)", file=out)
     errors = [r for r in results if isinstance(r, QueryError)]
     if errors:
         for err in errors:
@@ -464,7 +446,7 @@ def run_chaos(args: argparse.Namespace, out=None) -> int:
         return system
     if args.workload:
         try:
-            workload = load_workload(args.workload)
+            workload = Workload.from_file(args.workload)
         except OSError as exc:
             print(f"error: cannot read workload file: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -114,32 +114,9 @@ class PPQTrajectory:
         """Exact-match query; see :meth:`QueryEngine.exact`."""
         return self._require_engine().exact(x, y, t)
 
-    def run_batch(self, workload, isolate: bool = False, jobs: int = 1):
-        """Batched mixed workload; see :meth:`QueryEngine.run_batch`.
-
-        With ``jobs > 1`` the workload is served by that many worker
-        processes, each loading the model artifact once.  A system restored
-        by :meth:`load` (or previously saved) reuses its artifact; a system
-        fitted in memory spills a temporary artifact first (kept for the
-        system's lifetime so repeated parallel calls reuse it).  Results are
-        identical to ``jobs=1``, in workload order.
-        """
-        engine = self._require_engine()
-        if jobs > 1 and engine.source_path is None:
-            engine.source_path = self._spill_artifact()
-        return engine.run_batch(workload, isolate=isolate, jobs=jobs)
-
-    def _spill_artifact(self) -> str:
-        """Save the fitted system to a temporary artifact for worker loads."""
-        import atexit
-        import os
-        import tempfile
-
-        handle, path = tempfile.mkstemp(suffix=".ppq", prefix="repro-parallel-")
-        os.close(handle)
-        self.save(path, include_raw=self._dataset is not None)
-        atexit.register(lambda: os.path.exists(path) and os.unlink(path))
-        return path
+    def run_batch(self, workload, isolate: bool = False):
+        """Batched mixed workload; see :meth:`QueryEngine.run_batch`."""
+        return self._require_engine().run_batch(workload, isolate=isolate)
 
     def predict_next_positions(self, traj_id: int, t: int, horizon: int = 5) -> np.ndarray:
         """Forecast the next positions of a trajectory from the summary."""

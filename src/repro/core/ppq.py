@@ -228,23 +228,13 @@ def _replace_nan_history(histories: np.ndarray) -> np.ndarray:
     fully missing history becomes zeros so the prediction collapses to the
     codeword alone, as in the paper's ``t <= k`` bootstrap.
     """
-    filled = histories.copy()
-    n, order, _ = filled.shape
-    for row in range(n):
-        last = None
-        for lag in range(order):
-            if not np.isnan(filled[row, lag]).any():
-                last = filled[row, lag]
-            elif last is not None:
-                filled[row, lag] = last
-        if last is None:
-            filled[row] = 0.0
-        else:
-            # Older lags before the first available value were already filled
-            # forward; fill any leading NaNs (most recent lags) backwards.
-            for lag in range(order - 1, -1, -1):
-                if not np.isnan(filled[row, lag]).any():
-                    last = filled[row, lag]
-                else:
-                    filled[row, lag] = last
+    n, order, _ = histories.shape
+    present = ~np.isnan(histories).any(axis=2)
+    # Lag index 0 is the most recent.  A missing lag repeats the nearest
+    # more recent present lag; missing lags more recent than every present
+    # one repeat the most recent present lag.
+    source = np.maximum.accumulate(np.where(present, np.arange(order), -1), axis=1)
+    source = np.where(source < 0, present.argmax(axis=1)[:, None], source)
+    filled = histories[np.arange(n)[:, None], source]
+    filled[~present.any(axis=1)] = 0.0
     return filled

@@ -354,30 +354,45 @@ class TrajectorySummary:
         return entry
 
     def _base_reconstruction(self, traj_id: int, t: int) -> np.ndarray | None:
-        """The ε₁-bounded reconstruction, from cache or recomputed on demand."""
+        """The ε₁-bounded reconstruction, from cache or recomputed on demand.
+
+        Recomputing ``t`` predicts from the reconstructions at ``t-1 .. t-k``,
+        which may need recomputing in turn.  Walk back to the oldest such
+        predecessor (``k`` steps in a row with nothing to recompute end the
+        walk), then roll forward from there, so long trajectories need no
+        recursion.
+        """
         cached = self._reconstructions.get(traj_id, {}).get(t)
         if cached is not None:
             return cached
-        record = self.records.get(t)
-        if record is None or traj_id not in record.codeword_index:
+        if not self._summarised(traj_id, t):
             return None
-        # Recompute: prediction from previous k reconstructions + codeword.
+        known = self._reconstructions.setdefault(traj_id, {})
         order = self.config.prediction_order
-        history = []
-        for lag in range(1, order + 1):
-            prev = self._base_reconstruction(traj_id, t - lag)
-            history.append(prev)
-        partition = record.partition_of.get(traj_id)
-        coefficients = record.coefficients.get(partition)
-        prediction = np.zeros(2, dtype=float)
-        if coefficients is not None:
-            filled = _fill_history(history)
-            if filled is not None:
-                prediction = np.einsum("k,kd->d", coefficients, filled)
-        codeword = np.asarray(self.codebook[record.codeword_index[traj_id]], dtype=float)
-        reconstruction = prediction + codeword
-        self.cache_reconstruction(traj_id, t, reconstruction)
-        return reconstruction
+        start = step = t
+        while start - step < order:
+            step -= 1
+            if step not in known and self._summarised(traj_id, step):
+                start = step
+        for step in range(start, t + 1):
+            if step in known or not self._summarised(traj_id, step):
+                continue
+            record = self.records[step]
+            history = [known.get(step - lag) for lag in range(1, order + 1)]
+            coefficients = record.coefficients.get(record.partition_of.get(traj_id))
+            prediction = np.zeros(2, dtype=float)
+            if coefficients is not None:
+                filled = _fill_history(history)
+                if filled is not None:
+                    prediction = np.einsum("k,kd->d", coefficients, filled)
+            codeword = np.asarray(self.codebook[record.codeword_index[traj_id]], dtype=float)
+            known[step] = prediction + codeword
+        return known[t]
+
+    def _summarised(self, traj_id: int, t: int) -> bool:
+        """Whether the summary holds a record of ``traj_id`` at ``t``."""
+        record = self.records.get(t)
+        return record is not None and traj_id in record.codeword_index
 
     # ------------------------------------------------------------------ #
     # storage accounting

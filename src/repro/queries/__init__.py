@@ -20,7 +20,6 @@ from repro.queries.batch import (
     batch_exact,
     batch_strq,
     batch_tpq,
-    load_workload,
 )
 from repro.queries.engine import QueryEngine
 
@@ -37,6 +36,5 @@ __all__ = [
     "batch_strq",
     "batch_tpq",
     "batch_exact",
-    "load_workload",
     "QueryEngine",
 ]

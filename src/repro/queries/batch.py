@@ -185,11 +185,6 @@ class Workload:
         return cls.from_obj(obj)
 
 
-def load_workload(path: str | Path) -> Workload:
-    """Load a JSON workload file (see :class:`Workload` for the format)."""
-    return Workload.from_file(path)
-
-
 # ---------------------------------------------------------------------- #
 # batched query functions
 # ---------------------------------------------------------------------- #

@@ -85,10 +85,6 @@ class QueryEngine:
         self.raw_dataset = raw_dataset
         self.on_fault = on_fault
         self.retry_policy = retry_policy
-        #: Artifact file this engine's model can be reloaded from, when known
-        #: (set by the storage layer on load/save).  Parallel execution hands
-        #: this path to its worker processes instead of pickling the engine.
-        self.source_path: str | None = None
         #: Quarantine log: one record per repaired cell, in repair order.
         self.quarantined: list[QuarantineRecord] = []
         # Cells already repaired once; a second failure of the same cell
@@ -215,9 +211,8 @@ class QueryEngine:
             cell_size=self.index_config.grid_cell,
         ))
 
-    def run_batch(self, workload, isolate: bool = False, jobs: int = 1,
-                  model_path=None) -> list[STRQResult | TPQResult | ExactQueryResult
-                                           | QueryError]:
+    def run_batch(self, workload, isolate: bool = False
+                  ) -> list[STRQResult | TPQResult | ExactQueryResult | QueryError]:
         """Execute a mixed STRQ/TPQ/exact workload with shared scans.
 
         Queries are grouped by kind and answered through the batched
@@ -242,19 +237,6 @@ class QueryEngine:
             :class:`~repro.reliability.degrade.QueryError` in that query's
             result slot (successes keep their normal result objects).
             The default re-raises the first unrecoverable error.
-        jobs:
-            With ``jobs > 1`` the workload is sharded across that many
-            worker processes by a
-            :class:`~repro.parallel.executor.ParallelExecutor`; each worker
-            loads the model artifact once and results (identical to
-            ``jobs=1``, in workload order) are merged back.  Requires a
-            model artifact: either ``model_path`` or an engine restored by
-            :func:`repro.storage.load_model` (which records
-            :attr:`source_path`).  Fitted-in-memory systems should call
-            :meth:`PPQTrajectory.run_batch`, which spills a temporary
-            artifact automatically.
-        model_path:
-            Artifact file the workers load; defaults to :attr:`source_path`.
 
         Examples
         --------
@@ -268,11 +250,6 @@ class QueryEngine:
             results = engine.run_batch(workload)
             strq_result, tpq_result, exact_result = results
         """
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if jobs > 1:
-            return self._run_parallel(workload, isolate=isolate, jobs=jobs,
-                                      model_path=model_path)
         specs = self._normalize_workload(workload)
         radius = self.local_search_radius
         by_kind: dict[str, list[int]] = {"strq": [], "tpq": [], "exact": []}
@@ -316,21 +293,6 @@ class QueryEngine:
                 for position, answer in zip(positions, answers):
                     results[position] = answer
         return results
-
-    def _run_parallel(self, workload, isolate: bool, jobs: int, model_path) -> list:
-        """Fan a workload out to worker processes (the ``jobs > 1`` path)."""
-        from repro.parallel.executor import ParallelExecutor
-
-        path = model_path or self.source_path
-        if path is None:
-            raise ValueError(
-                "run_batch(jobs>1) needs a model artifact for the workers to "
-                "load: pass model_path=, or use an engine restored by "
-                "repro.storage.load_model, or call PPQTrajectory.run_batch "
-                "(which saves a temporary artifact automatically)"
-            )
-        with ParallelExecutor(path, jobs=jobs, retry_policy=self.retry_policy) as pool:
-            return pool.run(workload, isolate=isolate)
 
     def _run_isolated(self, specs: list[QuerySpec], positions: list[int],
                       results: list) -> None:

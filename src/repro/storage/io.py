@@ -385,11 +385,7 @@ def save_model(system, path: str | Path, include_raw: bool = True) -> Path:
     ]
     if include_raw and system.engine.raw_dataset is not None:
         sections.append((SECTION_RAWDATA, _encode_dataset(system.engine.raw_dataset)))
-    written = write_artifact_file(path, sections)
-    # The freshly written artifact reproduces this engine's answers exactly,
-    # so parallel workers may load it on the engine's behalf.
-    system.engine.source_path = str(written)
-    return written
+    return write_artifact_file(path, sections)
 
 
 def _encode_codebook(codebook: Codebook) -> bytes:
@@ -532,12 +528,6 @@ def load_model(path: str | Path, verify: bool = True, strict: bool = True):
     system.summary = summary
     system._dataset = raw_dataset
     system.engine = QueryEngine(summary, index_config, raw_dataset=raw_dataset, index=index)
-    # Remember where the model came from so run_batch(jobs>1) can hand the
-    # artifact path (not the live objects) to its worker processes.  Salvaged
-    # loads do not record a path: workers load independently and must not
-    # silently serve from a damaged file the parent only survived by salvage.
-    if strict or report.clean:
-        system.engine.source_path = str(path)
     system.load_report = report
     return system
 

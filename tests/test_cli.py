@@ -198,32 +198,6 @@ class TestExitCodes:
         assert "0 queries" in capsys.readouterr().out
 
 
-class TestParallelQuery:
-    def test_jobs_requires_workload(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["query", "--synthetic", "porto",
-                                       "--x", "0", "--y", "0", "--t", "0",
-                                       "--jobs", "2"])
-
-    def test_jobs_must_be_positive(self, tmp_path):
-        workload = tmp_path / "w.json"
-        workload.write_text(json.dumps([{"type": "strq", "x": 0, "y": 0, "t": 0}]))
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["query", "--synthetic", "porto",
-                                       "--workload", str(workload),
-                                       "--jobs", "0"])
-
-    def test_parallel_workload_runs(self, saved_model, tmp_path, capsys):
-        workload = tmp_path / "par.json"
-        workload.write_text(json.dumps(
-            [{"type": ("strq", "tpq")[i % 2], "x": 0, "y": 0, "t": i % 5,
-              "length": 4} for i in range(8)]))
-        assert main(["query", "--model", str(saved_model),
-                     "--workload", str(workload), "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "jobs" in out and "2 worker processes" in out
-
-
 class TestChaos:
     def test_chaos_requires_a_source(self):
         with pytest.raises(SystemExit):

@@ -1,12 +1,15 @@
 """Tests for the TrajectorySummary container and its storage accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.config import CQCConfig, PPQConfig
+from repro.core.config import CQCConfig, PartitionCriterion, PPQConfig
 from repro.core.ppq import PartitionwisePredictiveQuantizer
 from repro.core.summary import SummaryStorage, TimestepRecord, TrajectorySummary
 from repro.core.codebook import Codebook
+from repro.data.synthetic import PORTO_LIKE, generate_dataset
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,26 @@ class TestReconstruction:
         # The refined point should not be farther from the truth than the base.
         assert (np.linalg.norm(truth - refined)
                 <= np.linalg.norm(truth - base) + 1e-12)
+
+
+class TestLongTrajectoryRecompute:
+    """Recompute rolls forward over a long uncached chain without recursing."""
+
+    @pytest.mark.parametrize("criterion, epsilon_p", [
+        (PartitionCriterion.SPATIAL, 0.1),             # PPQ-S
+        (PartitionCriterion.AUTOCORRELATION, 0.01),    # PPQ-A
+    ])
+    def test_last_point_first_equals_fit(self, criterion, epsilon_p):
+        dataset = generate_dataset(dataclasses.replace(
+            PORTO_LIKE, num_trajectories=1, min_length=1500, max_length=1500, seed=3))
+        config = PPQConfig(criterion=criterion, epsilon_p=epsilon_p)
+        summary = PartitionwisePredictiveQuantizer(config, CQCConfig()).summarize(dataset)
+        fitted = {t: point.copy() for t, point in summary._reconstructions[0].items()}
+        assert sorted(fitted) == list(range(1500))
+        summary._reconstructions.clear()
+        for t in reversed(range(1500)):
+            point = summary.reconstruct_point(0, t, use_cqc=False)
+            assert point.tobytes() == fitted[t].tobytes(), t
 
 
 class TestAccessors:

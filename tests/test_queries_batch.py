@@ -21,7 +21,6 @@ from repro.queries.batch import (
     batch_exact,
     batch_strq,
     batch_tpq,
-    load_workload,
 )
 from repro.queries.engine import QueryEngine
 from repro.queries.exact import exact_match_query
@@ -207,7 +206,7 @@ class TestWorkloadSpec:
         path.write_text(json.dumps({"queries": [
             {"type": "exact", "x": -8.6, "y": 41.1, "t": 12},
         ]}))
-        workload = load_workload(path)
+        workload = Workload.from_file(path)
         assert len(workload) == 1
         assert workload.queries[0] == QuerySpec(kind="exact", x=-8.6, y=41.1, t=12)
 
@@ -255,12 +254,12 @@ class TestMalformedWorkloads:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(WorkloadError):
-            load_workload(path)
+            Workload.from_file(path)
 
     def test_empty_workload_is_valid(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"queries": []}))
-        workload = load_workload(path)
+        workload = Workload.from_file(path)
         assert len(workload) == 0
         assert workload.counts() == {"strq": 0, "tpq": 0, "exact": 0}
 

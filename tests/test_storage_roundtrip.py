@@ -17,7 +17,7 @@ import pytest
 from repro import PPQTrajectory
 from repro.cli import EXIT_ARTIFACT, main
 from repro.core.config import CQCConfig
-from repro.data.synthetic import generate_porto_like
+from repro.data.synthetic import PORTO_LIKE, generate_dataset, generate_porto_like
 from repro.queries.batch import Workload
 from repro.storage import (
     ArtifactChecksumError,
@@ -317,6 +317,31 @@ def test_salvage_recomputes_corrupt_reconstructions(salvage_saved, tmp_path, dat
             assert np.array_equal(original.summary.reconstruct_point(tid, t),
                                   loaded.summary.reconstruct_point(tid, t))
     _assert_strq_equal(original, loaded, dataset)
+
+
+def test_salvage_recomputes_long_trajectories(tmp_path):
+    """After a RECON salvage, recomputing 1,500-point chains answers like the
+    clean model."""
+    dataset = generate_dataset(dataclasses.replace(
+        PORTO_LIKE, num_trajectories=3, min_length=1500, max_length=1500, seed=5))
+    original = PPQTrajectory.ppq_s().fit(dataset)
+    path = tmp_path / "long.ppq"
+    original.save(path)
+    loaded = load_model(_flip_section_byte(path, tmp_path, "RECON"), strict=False)
+    assert loaded.load_report.rebuilt == ["RECON"]
+    t = 1499
+    for tid in dataset.trajectory_ids:
+        x, y = map(float, dataset.get(tid).points[t])
+        clean, salvaged = original.strq(x, y, t), loaded.strq(x, y, t)
+        assert tid in clean.candidates
+        assert salvaged.candidates == clean.candidates
+        for cand in clean.reconstructed:
+            assert np.array_equal(salvaged.reconstructed[cand], clean.reconstructed[cand])
+        clean_paths = original.tpq(x, y, t, length=5).paths
+        salvaged_paths = loaded.tpq(x, y, t, length=5).paths
+        assert salvaged_paths.keys() == clean_paths.keys()
+        for cand, path_points in clean_paths.items():
+            assert np.array_equal(salvaged_paths[cand], path_points)
 
 
 def test_salvage_drops_corrupt_rawdata(salvage_saved, tmp_path, dataset):
