@@ -7,9 +7,6 @@ building block that PPQ applies per partition.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.config import CQCConfig, PPQConfig
 from repro.core.partitioning import IncrementalPartitioner
 from repro.core.ppq import PartitionwisePredictiveQuantizer
 
@@ -22,15 +19,7 @@ class ErrorBoundedPredictiveQuantizer(PartitionwisePredictiveQuantizer):
     ``epsilon_p`` / criterion parameters of the config are ignored.
     """
 
-    def __init__(self, config: PPQConfig | None = None,
-                 cqc_config: CQCConfig | None = None) -> None:
-        super().__init__(config=config, cqc_config=cqc_config)
-
     def _build_partitioner(self) -> IncrementalPartitioner | None:
         # A ``None`` partitioner short-circuits partitioning: every slice is
         # a single group with partition id 0.
         return None
-
-    def _partition_slice(self, partitioner, traj_ids: np.ndarray, points: np.ndarray,
-                         histories) -> dict[int, np.ndarray]:
-        return {0: np.arange(len(traj_ids), dtype=np.int64)}

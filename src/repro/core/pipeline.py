@@ -176,7 +176,7 @@ class PPQTrajectory:
             Verify every section's CRC32 before decoding (default).
         strict:
             With ``strict=False`` a damaged artifact is salvaged where
-            possible -- derivable sections (reconstruction cache, index)
+            possible -- derivable sections (reconstructions, index)
             are rebuilt and a damaged raw-data section is dropped -- and
             the outcome is recorded in the returned system's
             ``load_report``.  See :func:`repro.storage.load_model`.

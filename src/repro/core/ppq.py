@@ -7,7 +7,9 @@ one timestamp at a time:
    or by AR(k) autocorrelation similarity (PPQ-A), maintained incrementally
    across timestamps by :class:`~repro.core.partitioning.IncrementalPartitioner`;
 2. each partition fits its own linear predictor over the previous ``k``
-   *reconstructed* points of its member trajectories (Equation 6);
+   *reconstructed* points of its member trajectories (Equation 6), read from
+   the summary's reconstruction store (the previous ``k`` appearances, see
+   :func:`~repro.core.prediction.lag_history`);
 3. the per-point prediction errors are quantized by the shared error-bounded
    incremental codebook (Equation 3);
 4. optionally, the residual deviation between the true point and its
@@ -19,7 +21,6 @@ The result is a :class:`~repro.core.summary.TrajectorySummary`.
 from __future__ import annotations
 
 import time
-from collections import deque
 
 import numpy as np
 
@@ -79,7 +80,6 @@ class PartitionwisePredictiveQuantizer:
         cqc_coder = self._build_cqc_coder()
         summary = TrajectorySummary(self.config, self.cqc_config, codebook, cqc_coder)
         partitioner = self._build_partitioner()
-        history: dict[int, deque[np.ndarray]] = {}
         predictors: dict[int, LinearPredictor] = {}
 
         start_total = time.perf_counter()
@@ -87,7 +87,7 @@ class PartitionwisePredictiveQuantizer:
             if len(slice_) == 0:
                 continue
             self._process_slice(slice_, summary, codebook, quantizer, cqc_coder,
-                                partitioner, history, predictors)
+                                partitioner, predictors)
             self.partition_history.append(self._partition_count(partitioner))
         self.timings["total"] = time.perf_counter() - start_total
         return summary
@@ -99,50 +99,43 @@ class PartitionwisePredictiveQuantizer:
                        codebook: Codebook, quantizer: IncrementalQuantizer,
                        cqc_coder: CQCCoder | None,
                        partitioner: IncrementalPartitioner | None,
-                       history: dict[int, deque[np.ndarray]],
                        predictors: dict[int, LinearPredictor]) -> None:
         traj_ids = slice_.traj_ids
         points = slice_.points
         order = self.config.prediction_order
 
-        histories = self._history_tensor(traj_ids, history, order)
+        histories, complete = summary.recent_history(traj_ids)
 
         # --- partitioning -------------------------------------------------
         start = time.perf_counter()
         groups = self._partition_slice(partitioner, traj_ids, points, histories)
+        groups = {pid: rows for pid, rows in groups.items() if len(rows)}
         self.timings["partitioning"] += time.perf_counter() - start
 
         record = TimestepRecord(t=slice_.t)
-        predictions = np.zeros_like(points)
 
         # --- prediction ----------------------------------------------------
         start = time.perf_counter()
         for pid, rows in groups.items():
-            if len(rows) == 0:
-                continue
-            predictor = predictors.setdefault(pid, LinearPredictor(order=order))
-            group_history = histories[rows] if histories is not None else None
-            if self.config.use_prediction and group_history is not None:
-                valid = ~np.isnan(group_history).any(axis=(1, 2))
-                if np.any(valid):
-                    predictor.fit(group_history[valid], points[rows][valid])
-                coeffs = predictor.coefficients
-                if coeffs is None:
-                    coeffs = np.zeros(order, dtype=float)
-                filled = _replace_nan_history(group_history)
-                predictions[rows] = np.einsum("k,nkd->nd", coeffs, filled)
-                record.coefficients[pid] = coeffs.copy()
-            else:
-                record.coefficients[pid] = np.zeros(order, dtype=float)
+            coeffs = np.zeros(order, dtype=float)
+            if self.config.use_prediction:
+                predictor = predictors.setdefault(pid, LinearPredictor(order=order))
+                fit_rows = rows[complete[rows]]
+                if len(fit_rows):
+                    predictor.fit(histories[fit_rows], points[fit_rows])
+                if predictor.coefficients is not None:
+                    coeffs = predictor.coefficients.copy()
+            record.coefficients[pid] = coeffs
             for row in rows:
                 record.partition_of[int(traj_ids[row])] = pid
+        predictions = summary.predict_slice(record, traj_ids, histories)
         self.timings["prediction"] += time.perf_counter() - start
 
         # --- quantization of prediction errors -----------------------------
         start = time.perf_counter()
-        errors = points - predictions
-        indices = quantizer.quantize(errors, codebook)
-        reconstructions = predictions + codebook.reconstruct(indices)
+        indices = quantizer.quantize(points - predictions, codebook)
+        record.codeword_index = dict(zip(traj_ids.tolist(), indices.tolist()))
+        reconstructions = summary.add_slice(record, traj_ids, predictions)
         self.timings["quantization"] += time.perf_counter() - start
 
         # --- CQC encoding ---------------------------------------------------
@@ -152,15 +145,6 @@ class PartitionwisePredictiveQuantizer:
             for row, tid in enumerate(traj_ids):
                 record.cqc_codes[int(tid)] = cqc_coder.encode_offset(offsets[row])
         self.timings["cqc"] += time.perf_counter() - start
-
-        # --- bookkeeping ------------------------------------------------------
-        for row, tid in enumerate(traj_ids):
-            tid = int(tid)
-            record.codeword_index[tid] = int(indices[row])
-            summary.cache_reconstruction(tid, slice_.t, reconstructions[row])
-            queue = history.setdefault(tid, deque(maxlen=self.config.prediction_order))
-            queue.appendleft(reconstructions[row])
-        summary.add_record(record)
 
     # ------------------------------------------------------------------ #
     # hooks overridden by E-PQ
@@ -175,7 +159,7 @@ class PartitionwisePredictiveQuantizer:
 
     def _partition_slice(self, partitioner: IncrementalPartitioner | None,
                          traj_ids: np.ndarray, points: np.ndarray,
-                         histories: np.ndarray | None) -> dict[int, np.ndarray]:
+                         histories: np.ndarray) -> dict[int, np.ndarray]:
         """Return a mapping partition id -> row indices for this slice."""
         if partitioner is None:
             return {0: np.arange(len(traj_ids), dtype=np.int64)}
@@ -183,58 +167,11 @@ class PartitionwisePredictiveQuantizer:
         return partitioner.update(traj_ids, features)
 
     def _partition_features(self, points: np.ndarray,
-                            histories: np.ndarray | None) -> np.ndarray:
+                            histories: np.ndarray) -> np.ndarray:
         """Feature vectors driving the partitioning criterion."""
-        if self.config.criterion is PartitionCriterion.SPATIAL or histories is None:
+        if self.config.criterion is PartitionCriterion.SPATIAL:
             return points
-        filled = _replace_nan_history(histories)
-        return estimate_ar_coefficients(filled, points)
+        return estimate_ar_coefficients(histories, points)
 
     def _partition_count(self, partitioner: IncrementalPartitioner | None) -> int:
         return 1 if partitioner is None else partitioner.num_partitions
-
-    # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-    def _history_tensor(self, traj_ids: np.ndarray,
-                        history: dict[int, deque[np.ndarray]],
-                        order: int) -> np.ndarray | None:
-        """Previous ``order`` reconstructions per active trajectory.
-
-        Shape ``(n, order, 2)``.  Missing lags are NaN; completely new
-        trajectories therefore have an all-NaN history, which downstream code
-        treats as "predict zero" (the paper sets ``P_j[t] = 0`` for ``t <= k``).
-        """
-        n = len(traj_ids)
-        if n == 0:
-            return None
-        tensor = np.full((n, order, 2), np.nan, dtype=float)
-        for row, tid in enumerate(traj_ids):
-            queue = history.get(int(tid))
-            if not queue:
-                continue
-            for lag, point in enumerate(queue):
-                if lag >= order:
-                    break
-                tensor[row, lag] = point
-        return tensor
-
-
-def _replace_nan_history(histories: np.ndarray) -> np.ndarray:
-    """Replace missing lags by the nearest available one (or zero).
-
-    Keeps prediction well-defined for points with a short history: the most
-    recent available reconstruction is repeated for older missing lags, and a
-    fully missing history becomes zeros so the prediction collapses to the
-    codeword alone, as in the paper's ``t <= k`` bootstrap.
-    """
-    n, order, _ = histories.shape
-    present = ~np.isnan(histories).any(axis=2)
-    # Lag index 0 is the most recent.  A missing lag repeats the nearest
-    # more recent present lag; missing lags more recent than every present
-    # one repeat the most recent present lag.
-    source = np.maximum.accumulate(np.where(present, np.arange(order), -1), axis=1)
-    source = np.where(source < 0, present.argmax(axis=1)[:, None], source)
-    filled = histories[np.arange(n)[:, None], source]
-    filled[~present.any(axis=1)] = 0.0
-    return filled

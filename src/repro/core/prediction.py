@@ -15,6 +15,9 @@ recent motion relates to its current position.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+from itertools import islice
+
 import numpy as np
 
 
@@ -140,13 +143,23 @@ def estimate_ar_coefficients(histories: np.ndarray, targets: np.ndarray,
     return numerator / denominator
 
 
-def build_history_tensor(reconstructions: list[np.ndarray]) -> np.ndarray:
-    """Stack the ``k`` most recent reconstruction arrays into a history tensor.
+def lag_history(appearances: Sequence[Iterable[np.ndarray]],
+                order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one history rule of fit, replay and forecast: the previous ``order`` appearances.
 
-    ``reconstructions`` is a list of ``k`` arrays of shape ``(n, 2)`` ordered
-    from most recent (``t-1``) to oldest (``t-k``); the result has shape
-    ``(n, k, 2)`` suitable for :class:`LinearPredictor`.
+    ``appearances[i]`` yields row ``i``'s reconstructed points at the
+    timestamps where its trajectory has a point, most recent first; only the
+    first ``order`` are read.  Returns ``(history, complete)``: ``history``
+    has shape ``(n, order, 2)``, most recent lag first, where a missing
+    older lag repeats the oldest one present and a row with none is zeros
+    (the paper's ``P_j[t] = 0`` bootstrap); ``complete`` marks the rows with
+    all ``order`` lags, the only ones a predictor is fitted on.
     """
-    if not reconstructions:
-        raise ValueError("at least one reconstruction array is required")
-    return np.stack(reconstructions, axis=1)
+    history = np.zeros((len(appearances), order, 2), dtype=float)
+    complete = np.zeros(len(appearances), dtype=bool)
+    for row, points in enumerate(appearances):
+        lags = list(islice(points, order))
+        if lags:
+            complete[row] = len(lags) == order
+            history[row] = lags + lags[-1:] * (order - len(lags))
+    return history, complete

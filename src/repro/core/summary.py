@@ -4,10 +4,12 @@ The summary is exactly the set of parameters the paper lists as sufficient to
 reproduce any trajectory: the per-timestamp, per-partition prediction
 coefficients ``P_j[t]``, the error-bounded codebook ``C``, the per-point
 codeword indices ``b_i^t`` and (optionally) the per-point CQC codes.  The
-reconstructed points themselves are *derivable* from these parameters, but the
-summary also keeps them cached because the online quantizer needs the previous
-``k`` reconstructions anyway and queries reuse them; the cache is excluded
-from storage accounting.
+reconstructed points themselves are *derivable* from these parameters:
+:meth:`TrajectorySummary.replay` recomputes them, bit for bit, through the
+same per-slice step the quantizer uses.  The summary also keeps every one of
+them in a reconstruction store, because the quantizer predicts from the
+previous ``k`` reconstructions anyway and queries reuse them; the store is
+excluded from storage accounting.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from repro.core.codebook import Codebook
 from repro.core.config import CQCConfig, PPQConfig
+from repro.core.prediction import lag_history
 from repro.reliability import faults as _faults
 
 
@@ -28,9 +31,9 @@ class ReconstructionCache:
     Batched queries touch the same timestamps over and over (every STRQ at
     ``t`` wants the reconstructions of every trajectory active at ``t``; a
     TPQ of length ``l`` wants ``l`` consecutive slices).  Caching whole
-    slices amortises both the recursive prediction roll-forward and the CQC
-    offset decoding across all queries of a batch, while the LRU bound keeps
-    memory proportional to the working set instead of the stream length.
+    slices amortises the CQC offset decoding across all queries of a batch,
+    while the LRU bound keeps memory proportional to the working set instead
+    of the stream length.
 
     Attributes
     ----------
@@ -200,16 +203,16 @@ class TrajectorySummary:
         self.codebook = codebook
         self.cqc_coder = cqc_coder
         self.records: dict[int, TimestepRecord] = {}
-        # Reconstruction cache: traj_id -> {t: reconstructed point (without
-        # CQC refinement)}.  Derivable from the summary, so not charged to
-        # storage.
+        # Reconstruction store: traj_id -> {t: reconstructed point (without
+        # CQC refinement)} for every summarised point, in time order.
+        # Derivable from the summary, so not charged to storage.
         self._reconstructions: dict[int, dict[int, np.ndarray]] = {}
         # LRU cache of fully refined per-timestamp slices, shared by the
         # batched query path (also derivable, so not charged to storage).
         self.slice_cache = ReconstructionCache(capacity=slice_cache_capacity)
 
     # ------------------------------------------------------------------ #
-    # population (called by the quantizers)
+    # population: the per-slice step shared by the quantizers and replay
     # ------------------------------------------------------------------ #
     def add_record(self, record: TimestepRecord) -> None:
         """Store the record of one timestamp.
@@ -220,9 +223,49 @@ class TrajectorySummary:
         self.records[record.t] = record
         self.slice_cache.clear()
 
-    def cache_reconstruction(self, traj_id: int, t: int, point: np.ndarray) -> None:
-        """Cache the ε₁-bounded reconstruction of one point."""
-        self._reconstructions.setdefault(int(traj_id), {})[int(t)] = np.asarray(point, dtype=float)
+    def recent_history(self, traj_ids) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`~repro.core.prediction.lag_history` of the next slice's trajectories.
+
+        Slices are stored in time order, so a trajectory's stored points are
+        its previous appearances.
+        """
+        store = self._reconstructions
+        return lag_history([reversed(store.get(int(tid), {}).values()) for tid in traj_ids],
+                           self.config.prediction_order)
+
+    def predict_slice(self, record: TimestepRecord, traj_ids,
+                      histories: np.ndarray) -> np.ndarray:
+        """Equation 1/2: each point's partition coefficients applied to its history."""
+        predictions = np.zeros((len(traj_ids), 2), dtype=float)
+        if self.config.use_prediction:
+            partitions = np.array([record.partition_of[int(tid)] for tid in traj_ids])
+            for pid, coefficients in record.coefficients.items():
+                rows = np.flatnonzero(partitions == pid)
+                predictions[rows] = np.einsum("k,nkd->nd", coefficients, histories[rows])
+        return predictions
+
+    def add_slice(self, record: TimestepRecord, traj_ids,
+                  predictions: np.ndarray) -> np.ndarray:
+        """Add ``record`` and store (and return) prediction plus codeword per point."""
+        reconstructions = predictions + self.codebook.reconstruct(
+            [record.codeword_index[int(tid)] for tid in traj_ids])
+        for tid, point in zip(traj_ids, reconstructions):
+            self._reconstructions.setdefault(int(tid), {})[record.t] = point
+        self.add_record(record)
+        return reconstructions
+
+    def replay(self) -> None:
+        """Recompute every ε₁-bounded reconstruction from the records and codebook.
+
+        The slices go through the quantizer's own per-slice step in time
+        order, so the store ends up bit-identical to fitting's, gaps included.
+        """
+        self._reconstructions = {}
+        for t in sorted(self.records):
+            record = self.records[t]
+            traj_ids = list(record.codeword_index)
+            histories, _ = self.recent_history(traj_ids)
+            self.add_slice(record, traj_ids, self.predict_slice(record, traj_ids, histories))
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -247,6 +290,10 @@ class TrajectorySummary:
         record = self.records.get(int(t))
         return sorted(record.codeword_index) if record else []
 
+    def appearances(self, traj_id: int):
+        """Timestamps at which ``traj_id`` was summarised, in increasing order."""
+        return self._reconstructions.get(int(traj_id), {}).keys()
+
     def max_partitions(self) -> int:
         """Largest number of partitions used at any timestamp."""
         if not self.records:
@@ -265,15 +312,12 @@ class TrajectorySummary:
         """
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.check("summary.reconstruct", key=(int(traj_id), int(t)))
-        base = self._base_reconstruction(int(traj_id), int(t))
+        base = self._reconstructions.get(int(traj_id), {}).get(int(t))
         if base is None:
             return None
         if not use_cqc or self.cqc_coder is None:
             return base
-        record = self.records.get(int(t))
-        if record is None:
-            return base
-        code = record.cqc_codes.get(int(traj_id))
+        code = self.records[int(t)].cqc_codes.get(int(traj_id))
         if not code:
             return base
         offset = self.cqc_coder.decode_offset(code)
@@ -307,10 +351,10 @@ class TrajectorySummary:
         The cache groups refined reconstructions by timestamp, so any batch
         of queries touching the same ``(traj_id, t)`` pair -- different
         STRQs sharing candidates, overlapping TPQ path windows, exact-match
-        pre-filters -- pays the prediction roll-forward and CQC decoding
-        once.  Absent pairs are cached negatively, which keeps repeated path
-        probes past a trajectory's end cheap.  Returned arrays are shared
-        with the cache: treat them as read-only.
+        pre-filters -- pays the CQC decoding once.  Absent pairs are cached
+        negatively, which keeps repeated path probes past a trajectory's end
+        cheap.  Returned arrays are shared with the cache: treat them as
+        read-only.
         """
         entry = self._slice_entry(int(t), bool(use_cqc))
         traj_id = int(traj_id)
@@ -353,47 +397,6 @@ class TrajectorySummary:
             self.slice_cache.put(key, entry)
         return entry
 
-    def _base_reconstruction(self, traj_id: int, t: int) -> np.ndarray | None:
-        """The ε₁-bounded reconstruction, from cache or recomputed on demand.
-
-        Recomputing ``t`` predicts from the reconstructions at ``t-1 .. t-k``,
-        which may need recomputing in turn.  Walk back to the oldest such
-        predecessor (``k`` steps in a row with nothing to recompute end the
-        walk), then roll forward from there, so long trajectories need no
-        recursion.
-        """
-        cached = self._reconstructions.get(traj_id, {}).get(t)
-        if cached is not None:
-            return cached
-        if not self._summarised(traj_id, t):
-            return None
-        known = self._reconstructions.setdefault(traj_id, {})
-        order = self.config.prediction_order
-        start = step = t
-        while start - step < order:
-            step -= 1
-            if step not in known and self._summarised(traj_id, step):
-                start = step
-        for step in range(start, t + 1):
-            if step in known or not self._summarised(traj_id, step):
-                continue
-            record = self.records[step]
-            history = [known.get(step - lag) for lag in range(1, order + 1)]
-            coefficients = record.coefficients.get(record.partition_of.get(traj_id))
-            prediction = np.zeros(2, dtype=float)
-            if coefficients is not None:
-                filled = _fill_history(history)
-                if filled is not None:
-                    prediction = np.einsum("k,kd->d", coefficients, filled)
-            codeword = np.asarray(self.codebook[record.codeword_index[traj_id]], dtype=float)
-            known[step] = prediction + codeword
-        return known[t]
-
-    def _summarised(self, traj_id: int, t: int) -> bool:
-        """Whether the summary holds a record of ``traj_id`` at ``t``."""
-        record = self.records.get(t)
-        return record is not None and traj_id in record.codeword_index
-
     # ------------------------------------------------------------------ #
     # storage accounting
     # ------------------------------------------------------------------ #
@@ -429,21 +432,3 @@ class TrajectorySummary:
             return float("inf")
         return raw_bits / summary_bits
 
-
-def _fill_history(history: list[np.ndarray | None]) -> np.ndarray | None:
-    """Pad a lag history (most recent first) so missing lags reuse older ones.
-
-    Mirrors the padding used by the online quantizer: if a lag is missing the
-    nearest available older/newer reconstruction is repeated; if no lag is
-    available at all, ``None`` is returned (prediction falls back to zero).
-    """
-    available = [h for h in history if h is not None]
-    if not available:
-        return None
-    filled = []
-    last = available[0]
-    for entry in history:
-        if entry is not None:
-            last = entry
-        filled.append(last)
-    return np.stack(filled, axis=0)

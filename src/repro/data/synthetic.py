@@ -20,7 +20,7 @@ real datasets can be substituted without code changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,6 +121,9 @@ def generate_dataset(config: SyntheticConfig) -> TrajectoryDataset:
     their start so that per-timestamp slices contain many concurrent points,
     matching the alignment used by the paper's online algorithms.
     """
+    if config.min_length > config.max_length:
+        raise ValueError(f"min_length ({config.min_length}) exceeds "
+                         f"max_length ({config.max_length})")
     rng = np.random.default_rng(config.seed)
     hotspots = _hotspots(rng, config)
     trajectories = []
@@ -134,26 +137,18 @@ def generate_dataset(config: SyntheticConfig) -> TrajectoryDataset:
 
 def generate_porto_like(num_trajectories: int = 200, max_length: int = 300,
                         seed: int = 13) -> TrajectoryDataset:
-    """Porto-like workload (dense urban taxi traces)."""
-    config = SyntheticConfig(
-        **{**PORTO_LIKE.__dict__,
-           "num_trajectories": num_trajectories,
-           "max_length": max_length,
-           "seed": seed}
-    )
-    return generate_dataset(config)
+    """Porto-like workload (dense urban taxi traces), at most ``max_length`` points each."""
+    return generate_dataset(replace(
+        PORTO_LIKE, num_trajectories=num_trajectories, max_length=max_length,
+        min_length=min(PORTO_LIKE.min_length, max_length), seed=seed))
 
 
 def generate_geolife_like(num_trajectories: int = 80, max_length: int = 900,
                           seed: int = 29) -> TrajectoryDataset:
-    """GeoLife-like workload (multi-modal, large spatial span)."""
-    config = SyntheticConfig(
-        **{**GEOLIFE_LIKE.__dict__,
-           "num_trajectories": num_trajectories,
-           "max_length": max_length,
-           "seed": seed}
-    )
-    return generate_dataset(config)
+    """GeoLife-like workload (multi-modal, wide span), at most ``max_length`` points each."""
+    return generate_dataset(replace(
+        GEOLIFE_LIKE, num_trajectories=num_trajectories, max_length=max_length,
+        min_length=min(GEOLIFE_LIKE.min_length, max_length), seed=seed))
 
 
 # --------------------------------------------------------------------------- #

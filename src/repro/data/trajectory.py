@@ -28,9 +28,11 @@ class Trajectory:
     points:
         Array of shape ``(n, 2)`` with ``(x, y)`` coordinates.
     timestamps:
-        Array of shape ``(n,)`` of non-decreasing integer timestamps.  If not
-        supplied, timestamps ``0..n-1`` are assumed (regular sampling), which
-        matches how the paper aligns points across trajectories.
+        Array of shape ``(n,)`` of strictly increasing integer timestamps: a
+        trajectory has at most one point per timestamp.  Gaps are allowed.
+        If not supplied, timestamps ``0..n-1`` are assumed (regular
+        sampling), which matches how the paper aligns points across
+        trajectories.
     """
 
     traj_id: int
@@ -48,8 +50,13 @@ class Trajectory:
                 f"trajectory {self.traj_id}: {len(self.points)} points but "
                 f"{len(self.timestamps)} timestamps"
             )
-        if len(self.timestamps) > 1 and np.any(np.diff(self.timestamps) < 0):
-            raise ValueError(f"trajectory {self.traj_id}: timestamps must be non-decreasing")
+        backwards = np.diff(self.timestamps) <= 0
+        if np.any(backwards):
+            row = int(np.argmax(backwards))
+            raise ValueError(
+                f"trajectory {self.traj_id}: timestamps must be strictly increasing, "
+                f"but {self.timestamps[row + 1]} follows {self.timestamps[row]}"
+            )
 
     def __len__(self) -> int:
         return len(self.points)

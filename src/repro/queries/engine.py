@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import IndexConfig
+from repro.core.prediction import lag_history
 from repro.core.summary import TrajectorySummary
 from repro.cqc.local_search import search_radius
 from repro.data.trajectory import Trajectory, TrajectoryDataset
@@ -333,34 +334,28 @@ class QueryEngine:
     def predict_next_positions(self, traj_id: int, t: int, horizon: int = 5) -> np.ndarray:
         """Forecast future positions of a trajectory from the summary.
 
-        Uses the last stored prediction coefficients of the trajectory's
-        partition and rolls the linear model forward ``horizon`` steps -- the
-        "predicting future positions of entities" analytics task mentioned in
-        the paper's introduction.
+        Starts from the trajectory's CQC-refined points at ``t`` and its
+        previous appearances (:func:`~repro.core.prediction.lag_history`),
+        and rolls the linear model of its partition at ``t`` forward
+        ``horizon`` steps -- the "predicting future positions of entities"
+        analytics task mentioned in the paper's introduction.  Returns shape
+        ``(horizon, 2)``, or ``(0, 2)`` when ``horizon`` is 0 or the
+        trajectory has no point at ``t``.
         """
-        order = self.summary.config.prediction_order
-        history = []
-        for lag in range(order):
-            point = self.summary.reconstruct_point(traj_id, t - lag)
-            if point is None:
-                break
-            history.append(point)
-        if not history:
+        if horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {horizon}")
+        traj_id, t = int(traj_id), int(t)
+        appearances = self.summary.appearances(traj_id)
+        if horizon == 0 or t not in appearances:
             return np.empty((0, 2), dtype=float)
-        while len(history) < order:
-            history.append(history[-1])
-        record = self.summary.records.get(int(t))
-        coefficients = None
-        if record is not None:
-            partition = record.partition_of.get(int(traj_id))
-            coefficients = record.coefficients.get(partition)
-        if coefficients is None:
-            coefficients = np.zeros(order, dtype=float)
-            coefficients[0] = 1.0
-        forecast = []
-        window = list(history)
-        for _ in range(horizon):
-            prediction = np.einsum("k,kd->d", coefficients, np.stack(window[:order]))
-            forecast.append(prediction)
-            window.insert(0, prediction)
-        return np.vstack(forecast)
+        recent = (self.summary.reconstruct_point(traj_id, s)
+                  for s in reversed(appearances) if s <= t)
+        history, _ = lag_history([recent], self.summary.config.prediction_order)
+        window = history[0]
+        record = self.summary.records[t]
+        coefficients = record.coefficients[record.partition_of[traj_id]]
+        forecast = np.empty((horizon, 2), dtype=float)
+        for step in range(horizon):
+            forecast[step] = np.einsum("k,kd->d", coefficients, window)
+            window = np.vstack([forecast[step], window[:-1]])
+        return forecast

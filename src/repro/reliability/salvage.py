@@ -6,7 +6,7 @@ section lands in one of three states:
 
 * ``ok`` -- decoded normally.
 * ``rebuilt`` -- the stored copy was unusable but the section is derivable
-  (the reconstruction cache is recomputed from records; the TPI is rebuilt
+  (the reconstructions are replayed from the records; the TPI is rebuilt
   from summary reconstructions) so nothing was lost.
 * ``dropped`` -- non-derivable and damaged (the raw-data section); the
   capability it backed (exact-query verification) is disabled and listed

@@ -8,8 +8,9 @@ queries without re-running ``fit()``:
 * ``RECORDS`` -- the per-timestamp summary records: prediction coefficients,
   partition assignments, codeword indices and the CQC bit streams (packed
   through :mod:`repro.utils.bitio`);
-* ``RECON``   -- the cached ε₁-bounded reconstructions, kept so that a
-  loaded model reproduces the in-memory model's answers bit for bit;
+* ``RECON``   -- the ε₁-bounded reconstructions of every point, so that a
+  load need not replay them from the records (the replay gives the same
+  bits);
 * ``INDEX``   -- the TPI: time periods, partition-index rectangles and each
   grid cell's delta+Huffman compressed posting list (the Huffman codecs are
   persisted as canonical code lengths);
@@ -172,6 +173,9 @@ def _decode_records(payload: bytes, summary: TrajectorySummary) -> None:
         tids = reader.array()
         indices = reader.array()
         record.codeword_index = {int(tid): int(idx) for tid, idx in zip(tids, indices)}
+        if record.partition_of.keys() != record.codeword_index.keys():
+            raise ArtifactFormatError(f"RECORDS at t={record.t}: partition and codeword "
+                                      "entries name different trajectories")
 
         cqc_tids = reader.array()
         lengths = reader.array()
@@ -185,7 +189,7 @@ def _decode_records(payload: bytes, summary: TrajectorySummary) -> None:
 
 
 # ---------------------------------------------------------------------- #
-# RECON section (cached reconstructions)
+# RECON section (reconstruction store)
 # ---------------------------------------------------------------------- #
 def _encode_reconstructions(summary: TrajectorySummary) -> bytes:
     entries: list[tuple[int, int]] = []
@@ -208,12 +212,16 @@ def _encode_reconstructions(summary: TrajectorySummary) -> bytes:
 
 def _decode_reconstructions(payload: bytes, summary: TrajectorySummary) -> None:
     reader = ByteReader(payload)
-    if reader.u64() == 0:
+    count = reader.u64()
+    if count != summary.num_points:
+        raise ArtifactFormatError(f"RECON holds {count} reconstructions for "
+                                  f"{summary.num_points} summarised points")
+    if count == 0:
         return
     tids = reader.array()
     ts = reader.array()
     points = reader.array()
-    if not (len(tids) == len(ts) == len(points)):
+    if not (len(tids) == len(ts) == len(points) == count):
         raise ArtifactFormatError("RECON arrays are not aligned")
     for tid, t, point in zip(tids, ts, points):
         summary._reconstructions.setdefault(int(tid), {})[int(t)] = point
@@ -332,12 +340,15 @@ def _encode_dataset(dataset: TrajectoryDataset) -> bytes:
 def _decode_dataset(payload: bytes) -> TrajectoryDataset:
     reader = ByteReader(payload)
     trajectories = []
-    for _ in range(reader.u64()):
-        tid = reader.i64()
-        timestamps = reader.array()
-        points = reader.array()
-        trajectories.append(Trajectory(traj_id=tid, points=points, timestamps=timestamps))
-    return TrajectoryDataset(trajectories)
+    try:
+        for _ in range(reader.u64()):
+            tid = reader.i64()
+            timestamps = reader.array()
+            points = reader.array()
+            trajectories.append(Trajectory(traj_id=tid, points=points, timestamps=timestamps))
+        return TrajectoryDataset(trajectories)
+    except ValueError as exc:
+        raise ArtifactFormatError(f"RAWDATA holds an invalid trajectory: {exc}") from exc
 
 
 # ---------------------------------------------------------------------- #
@@ -433,11 +444,12 @@ def load_model(path: str | Path, verify: bool = True, strict: bool = True):
     strict:
         When true (the default), any damage raises.  With ``strict=False``
         the loader salvages what it can: the config, codebook and summary
-        records must be intact (they are not derivable), but a damaged or
-        truncated reconstruction cache is recomputed lazily from the
-        records, a damaged index is rebuilt from the summary's
-        reconstructions, and a damaged raw-data section is dropped with a
-        ``RuntimeWarning`` (disabling exact-match queries).  The resulting
+        records must be intact (they are not derivable), but damaged or
+        truncated reconstructions are recomputed at load by replaying the
+        records (:meth:`~repro.core.summary.TrajectorySummary.replay`), a
+        damaged index is rebuilt from the summary's reconstructions, and a
+        damaged raw-data section is dropped with a ``RuntimeWarning``
+        (disabling exact-match queries).  The resulting
         system's ``load_report`` (a
         :class:`~repro.reliability.salvage.LoadReport`) lists every
         section's fate; rebuilt sections are bit-identical to the originals
@@ -549,13 +561,13 @@ def _salvage_sections(payloads: dict[str, bytes], crc_ok: dict[str, bool],
             _decode_reconstructions(_read_section(payloads, SECTION_RECON), summary)
             report.record(SECTION_RECON, "ok")
         except Exception as exc:  # noqa: BLE001 - any decode failure is salvageable
-            summary._reconstructions.clear()
+            summary.replay()
             report.record(SECTION_RECON, "rebuilt",
-                          f"decode failed ({exc}); recomputed lazily from records")
+                          f"decode failed ({exc}); replayed from records")
     else:
+        summary.replay()
         detail = "missing" if SECTION_RECON not in payloads else "checksum mismatch"
-        report.record(SECTION_RECON, "rebuilt",
-                      f"{detail}; recomputed lazily from records")
+        report.record(SECTION_RECON, "rebuilt", f"{detail}; replayed from records")
 
     index = None
     if SECTION_INDEX in payloads and crc_ok[SECTION_INDEX]:

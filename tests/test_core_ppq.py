@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import CQCConfig, PPQConfig, PartitionCriterion
 from repro.core.epq import ErrorBoundedPredictiveQuantizer
-from repro.core.ppq import PartitionwisePredictiveQuantizer, _replace_nan_history
+from repro.core.ppq import PartitionwisePredictiveQuantizer
 from repro.metrics.accuracy import mean_absolute_error, reconstruction_errors
 from repro.utils.geo import meters_to_degrees
 
@@ -117,46 +117,3 @@ class TestMAEOrdering:
         full = PartitionwisePredictiveQuantizer(config, CQCConfig()).summarize(porto_small)
         assert mean_absolute_error(full, porto_small) < mean_absolute_error(basic, porto_small)
 
-
-def _replace_nan_history_loop(histories):
-    """Row-by-row reference for ``_replace_nan_history`` (its former body)."""
-    filled = histories.copy()
-    n, order, _ = filled.shape
-    for row in range(n):
-        last = None
-        for lag in range(order):
-            if not np.isnan(filled[row, lag]).any():
-                last = filled[row, lag]
-            elif last is not None:
-                filled[row, lag] = last
-        if last is None:
-            filled[row] = 0.0
-        else:
-            for lag in range(order - 1, -1, -1):
-                if not np.isnan(filled[row, lag]).any():
-                    last = filled[row, lag]
-                else:
-                    filled[row, lag] = last
-    return filled
-
-
-class TestReplaceNanHistory:
-    """The vectorised lag padding equals the row loop it replaced, bit for bit."""
-
-    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
-    def test_matches_row_loop(self, order):
-        rng = np.random.default_rng(100 + order)
-        for n in (0, 1, 2, 9, 60):
-            for missing in (0.0, 0.2, 0.5, 0.9, 1.0):
-                histories = rng.normal(size=(n, order, 2))
-                # Whole lags missing (the quantizer's case) plus single
-                # missing coordinates, which count as a missing lag.
-                histories[rng.random((n, order)) < missing] = np.nan
-                histories[rng.random((n, order, 2)) < missing / 4] = np.nan
-                histories[rng.random(n) < 0.2] = np.nan        # no lag at all
-                original = histories.copy()
-                got = _replace_nan_history(histories)
-                expected = _replace_nan_history_loop(histories)
-                assert got.shape == (n, order, 2)
-                assert got.tobytes() == expected.tobytes()
-                np.testing.assert_array_equal(histories, original)

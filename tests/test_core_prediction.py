@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.prediction import (
-    LinearPredictor,
-    build_history_tensor,
-    estimate_ar_coefficients,
-)
+from repro.core.prediction import LinearPredictor, estimate_ar_coefficients, lag_history
 
 
 def constant_velocity_history(n=50, order=2, seed=0):
@@ -107,15 +103,51 @@ class TestARCoefficients:
             estimate_ar_coefficients(np.zeros((5, 2, 2)), np.zeros((4, 2)))
 
 
-class TestBuildHistoryTensor:
-    def test_stacks_in_order(self):
-        recent = np.ones((3, 2))
-        older = np.zeros((3, 2))
-        tensor = build_history_tensor([recent, older])
-        assert tensor.shape == (3, 2, 2)
-        np.testing.assert_array_equal(tensor[:, 0], recent)
-        np.testing.assert_array_equal(tensor[:, 1], older)
+def lag_history_reference(appearances, order):
+    """Row-by-row statement of the rule: lag ``j`` is the ``j``-th previous
+    appearance, or the oldest one present; no appearance at all gives zeros."""
+    history = np.zeros((len(appearances), order, 2))
+    for row, points in enumerate(appearances):
+        points = list(points)[:order]
+        for lag in range(order):
+            if points:
+                history[row, lag] = points[min(lag, len(points) - 1)]
+    return history
 
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            build_history_tensor([])
+
+class TestLagHistory:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_matches_reference(self, order):
+        rng = np.random.default_rng(100 + order)
+        for n in (0, 1, 2, 9, 60):
+            appearances = [list(rng.normal(size=(int(rng.integers(0, order + 3)), 2)))
+                           for _ in range(n)]
+            history, complete = lag_history(appearances, order)
+            assert history.shape == (n, order, 2)
+            assert history.tobytes() == lag_history_reference(appearances, order).tobytes()
+            np.testing.assert_array_equal(
+                complete, [len(points) >= order for points in appearances])
+
+    def test_most_recent_first(self):
+        recent, older, oldest = np.ones(2), np.zeros(2), np.full(2, -1.0)
+        history, complete = lag_history([[recent, older, oldest]], order=2)
+        np.testing.assert_array_equal(history[0], [recent, older])
+        assert complete.tolist() == [True]
+
+    def test_short_history_repeats_the_oldest_lag(self):
+        history, complete = lag_history([[np.array([3.0, 4.0])]], order=3)
+        np.testing.assert_array_equal(history[0], [[3.0, 4.0]] * 3)
+        assert complete.tolist() == [False]
+
+    def test_empty_history_gives_zeros(self):
+        history, complete = lag_history([[], iter(())], order=2)
+        assert history.shape == (2, 2, 2) and not history.any()
+        assert complete.tolist() == [False, False]
+
+    def test_reads_only_order_points(self):
+        def endless():
+            while True:
+                yield np.ones(2)
+        history, complete = lag_history([endless()], order=4)
+        np.testing.assert_array_equal(history, np.ones((1, 4, 2)))
+        assert complete.tolist() == [True]

@@ -38,24 +38,23 @@ class TestReconstruction:
         assert summary.reconstruct_path(10_000, 0, 5).shape == (0, 2)
 
     def test_recompute_matches_cached_reconstruction(self, porto_small):
-        """Reconstruction recomputed purely from the summary parameters must
-        equal the online reconstruction cached during quantization."""
+        """Reconstructions replayed purely from the summary parameters equal
+        the ones stored during quantization, bit for bit."""
         quantizer = PartitionwisePredictiveQuantizer(PPQConfig(), CQCConfig(enabled=False))
         original = quantizer.summarize(porto_small, t_max=15)
         # A fresh summary object with the same records/codebook but an empty
-        # reconstruction cache.
+        # reconstruction store.
         rebuilt = TrajectorySummary(original.config, original.cqc_config,
                                     original.codebook, original.cqc_coder)
         for record in original.records.values():
             rebuilt.add_record(record)
-        tid = porto_small.trajectory_ids[0]
-        for t in range(0, 15, 3):
-            a = original.reconstruct_point(tid, t, use_cqc=False)
-            b = rebuilt.reconstruct_point(tid, t, use_cqc=False)
-            if a is None:
-                assert b is None
-            else:
-                np.testing.assert_allclose(a, b, atol=1e-9)
+        assert rebuilt.reconstruct_point(porto_small.trajectory_ids[0], 0) is None
+        rebuilt.replay()
+        for t in original.timestamps:
+            for tid in original.trajectories_at(t):
+                a = original.reconstruct_point(tid, t, use_cqc=False)
+                b = rebuilt.reconstruct_point(tid, t, use_cqc=False)
+                assert a.tobytes() == b.tobytes(), (tid, t)
 
     def test_use_cqc_false_returns_base_reconstruction(self, summary, porto_small):
         tid = porto_small.trajectory_ids[0]
@@ -68,7 +67,7 @@ class TestReconstruction:
 
 
 class TestLongTrajectoryRecompute:
-    """Recompute rolls forward over a long uncached chain without recursing."""
+    """Replay over a 1,500-point trajectory equals fit, last point included."""
 
     @pytest.mark.parametrize("criterion, epsilon_p", [
         (PartitionCriterion.SPATIAL, 0.1),             # PPQ-S
@@ -81,7 +80,7 @@ class TestLongTrajectoryRecompute:
         summary = PartitionwisePredictiveQuantizer(config, CQCConfig()).summarize(dataset)
         fitted = {t: point.copy() for t, point in summary._reconstructions[0].items()}
         assert sorted(fitted) == list(range(1500))
-        summary._reconstructions.clear()
+        summary.replay()
         for t in reversed(range(1500)):
             point = summary.reconstruct_point(0, t, use_cqc=False)
             assert point.tobytes() == fitted[t].tobytes(), t

@@ -1,6 +1,8 @@
 """Tests for the synthetic workload generators."""
 
 import numpy as np
+import pytest
+
 from repro.data.synthetic import (
     GEOLIFE_LIKE,
     PORTO_LIKE,
@@ -85,3 +87,25 @@ class TestGenerators:
         dataset = generate_porto_like(num_trajectories=4, max_length=40, seed=2)
         for traj in dataset:
             assert traj.timestamps[0] == 0
+
+    def test_short_maximum_lowers_the_preset_minimum(self):
+        geolife = generate_geolife_like(num_trajectories=4, max_length=50, seed=1)
+        porto = generate_porto_like(num_trajectories=4, max_length=20, seed=1)
+        assert [len(traj) for traj in geolife] == [50] * 4
+        assert [len(traj) for traj in porto] == [20] * 4
+
+    def test_presets_draw_what_they_drew_before(self):
+        """Maxima at or above the preset minimum keep the preset's numbers."""
+        for generate, preset, max_length in ((generate_porto_like, PORTO_LIKE, 45),
+                                             (generate_geolife_like, GEOLIFE_LIKE, 80)):
+            got = generate(num_trajectories=6, max_length=max_length, seed=4)
+            expected = generate_dataset(SyntheticConfig(
+                **{**preset.__dict__, "num_trajectories": 6, "max_length": max_length,
+                   "seed": 4}))
+            for tid in expected.trajectory_ids:
+                assert got.get(tid).points.tobytes() == expected.get(tid).points.tobytes()
+
+    def test_minimum_above_maximum_rejected(self):
+        config = SyntheticConfig(num_trajectories=1, min_length=40, max_length=30)
+        with pytest.raises(ValueError, match=r"min_length \(40\).*max_length \(30\)"):
+            generate_dataset(config)

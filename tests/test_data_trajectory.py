@@ -31,6 +31,15 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(traj_id=0, points=np.zeros((3, 2)), timestamps=np.array([0, 2, 1]))
 
+    def test_repeated_timestamp_rejected(self):
+        timestamps = np.insert(np.arange(8), 4, 3)          # 0, 1, 2, 3, 3, 4, ..., 7
+        with pytest.raises(ValueError, match=r"trajectory 7: .*3 follows 3"):
+            Trajectory(traj_id=7, points=np.zeros((9, 2)), timestamps=timestamps)
+
+    def test_gaps_allowed(self):
+        traj = Trajectory(traj_id=0, points=np.zeros((3, 2)), timestamps=np.array([0, 4, 5]))
+        assert traj.duration == 5
+
     def test_point_at(self):
         traj = Trajectory(traj_id=0, points=np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(traj.point_at(1), [3.0, 4.0])

@@ -1,14 +1,20 @@
 """Cross-module property-based tests of the paper's core invariants.
 
 These complement the per-module unit tests by checking, on randomly generated
-workloads, the three guarantees the system's correctness rests on:
+workloads, the guarantees the system's correctness rests on:
 
+* the summary alone reproduces every point -- replaying the records gives
+  every fitted reconstruction, bit for bit;
 * Definition 3.2 / Equation 3 -- the base reconstruction error never exceeds
   ``epsilon1``;
 * Lemma 3 -- the CQC-refined reconstruction error never exceeds
   ``sqrt(2)/2 * g_s``;
 * Section 5.2 -- STRQ with local search has recall 1 against the ground truth
   of Definition 5.2.
+
+Workloads are smooth random walks that all start at ``t = 0``, or the same
+walks on adversarial timelines: time gaps, late starts, single-point
+trajectories and timestamps at which no trajectory is active.
 """
 
 from __future__ import annotations
@@ -36,16 +42,67 @@ def random_walk_dataset(num_traj: int, length: int, step_scale: float,
     return TrajectoryDataset(trajectories)
 
 
-workload = st.builds(
-    random_walk_dataset,
-    num_traj=st.integers(min_value=2, max_value=8),
-    length=st.integers(min_value=5, max_value=25),
-    step_scale=st.floats(min_value=1e-5, max_value=5e-4),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
+def adversarial_dataset(num_traj: int, length: int, step_scale: float,
+                        seed: int) -> TrajectoryDataset:
+    """Random walks on adversarial timelines.
+
+    Each trajectory starts 0-100 steps late, a fifth of them hold a single
+    point, and about a third of the steps skip 1-5 timestamps.  Every
+    timestamp from 40 on is shifted by 3, so no trajectory is active at
+    40-42.
+    """
+    rng = np.random.default_rng(seed)
+    trajectories = []
+    for i in range(num_traj):
+        n = 1 if rng.random() < 0.2 else length
+        start = rng.uniform(-0.05, 0.05, size=2)
+        points = start + np.cumsum(rng.normal(scale=step_scale, size=(n, 2)), axis=0)
+        steps = np.where(rng.random(n - 1) < 0.3, rng.integers(2, 7, size=n - 1), 1)
+        timestamps = int(rng.integers(0, 101)) + np.concatenate([[0], np.cumsum(steps)])
+        timestamps += 3 * (timestamps >= 40)
+        trajectories.append(Trajectory(traj_id=i, points=points, timestamps=timestamps))
+    return TrajectoryDataset(trajectories)
 
 
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def _workload(build):
+    return st.builds(
+        build,
+        num_traj=st.integers(min_value=2, max_value=8),
+        length=st.integers(min_value=5, max_value=25),
+        step_scale=st.floats(min_value=1e-5, max_value=5e-4),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+
+
+workload = st.one_of(_workload(random_walk_dataset), _workload(adversarial_dataset))
+
+VARIANTS = {
+    "PPQ-S": PPQTrajectory.ppq_s,
+    "PPQ-A": PPQTrajectory.ppq_a,
+    "PPQ-S-basic": lambda: PPQTrajectory.ppq_s(cqc_config=CQCConfig(enabled=False)),
+    "PPQ-A-basic": lambda: PPQTrajectory.ppq_a(cqc_config=CQCConfig(enabled=False)),
+    "E-PQ": lambda: PPQTrajectory(variant="epq"),
+}
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dataset=workload, variant=st.sampled_from(sorted(VARIANTS)))
+def test_replay_reproduces_every_fitted_reconstruction(dataset, variant):
+    """The summary alone reproduces every point: replaying the records gives
+    the fitted reconstructions bit for bit."""
+    summary = VARIANTS[variant]().fit(dataset, build_index=False).summary
+    fitted = {(tid, t): point.tobytes()
+              for tid, points in summary._reconstructions.items()
+              for t, point in points.items()}
+    assert len(fitted) == summary.num_points == dataset.num_points
+    summary.replay()
+    replayed = {(tid, t): point.tobytes()
+                for tid, points in summary._reconstructions.items()
+                for t, point in points.items()}
+    assert replayed == fitted
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(dataset=workload, epsilon=st.floats(min_value=2e-4, max_value=5e-3),
        criterion=st.sampled_from(list(PartitionCriterion)))
 def test_base_reconstruction_error_bound(dataset, epsilon, criterion):
@@ -61,7 +118,7 @@ def test_base_reconstruction_error_bound(dataset, epsilon, criterion):
     assert float(np.max(errors)) <= epsilon + 1e-9
 
 
-@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(dataset=workload, grid_fraction=st.floats(min_value=0.1, max_value=0.9))
 def test_cqc_refined_error_bound(dataset, grid_fraction):
     """Lemma 3: the CQC-refined error never exceeds sqrt(2)/2 * g_s."""
@@ -75,7 +132,7 @@ def test_cqc_refined_error_bound(dataset, grid_fraction):
     assert float(np.max(errors)) <= np.sqrt(2.0) / 2.0 * grid + 1e-9
 
 
-@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(dataset=workload, seed=st.integers(min_value=0, max_value=1_000))
 def test_strq_local_search_recall_is_one(dataset, seed):
     """Section 5.2: local search never misses a true STRQ answer."""
@@ -86,8 +143,9 @@ def test_strq_local_search_recall_is_one(dataset, seed):
     for _ in range(5):
         tid = int(rng.choice(dataset.trajectory_ids))
         traj = dataset.get(tid)
-        t = int(rng.integers(0, len(traj)))
-        x, y = traj.points[t]
+        row = int(rng.integers(0, len(traj)))
+        x, y = traj.points[row]
+        t = int(traj.timestamps[row])
         result = system.strq(x, y, t, local_search=True)
         truth = ground_truth_cell_members(dataset, x, y, t, cell)
         _, recall = precision_recall(result.candidates, truth)

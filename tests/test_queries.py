@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import PPQTrajectory
+from repro.data.trajectory import Trajectory, TrajectoryDataset
 from repro.metrics.accuracy import precision_recall
 from repro.queries.exact import ground_truth_cell_members
 from repro.queries.strq import spatio_temporal_range_query
@@ -136,6 +138,40 @@ class TestQueryEngine:
     def test_predict_for_unknown_trajectory(self, fitted_ppq_s):
         forecast = fitted_ppq_s.predict_next_positions(99_999, t=5, horizon=3)
         assert forecast.shape == (0, 2)
+
+    def test_predict_zero_horizon_is_empty(self, fitted_ppq_s, porto_small):
+        tid = porto_small.trajectory_ids[0]
+        assert fitted_ppq_s.predict_next_positions(tid, t=20, horizon=0).shape == (0, 2)
+
+    def test_predict_negative_horizon_rejected(self, fitted_ppq_s, porto_small):
+        with pytest.raises(ValueError, match="horizon"):
+            fitted_ppq_s.predict_next_positions(porto_small.trajectory_ids[0], t=20, horizon=-1)
+
+    def test_predict_absent_timestamp_is_empty(self, fitted_ppq_s, porto_small):
+        tid = porto_small.trajectory_ids[0]
+        end = int(porto_small.get(tid).timestamps[-1])
+        assert fitted_ppq_s.predict_next_positions(tid, t=end + 1, horizon=2).shape == (0, 2)
+
+    def test_predict_across_a_gap_uses_previous_appearances(self, porto_small):
+        """Right after a time gap the history is the point before the gap,
+        not a repeat of the current point."""
+        gap = 3
+        gapped = TrajectoryDataset(
+            Trajectory(traj.traj_id, traj.points,
+                       traj.timestamps + gap * (traj.timestamps >= 10))
+            for traj in porto_small
+        )
+        system = PPQTrajectory.ppq_s().fit(gapped)
+        tid, t = porto_small.trajectory_ids[0], 10 + gap
+        record = system.summary.records[t]
+        coefficients = record.coefficients[record.partition_of[tid]]
+        window = np.stack([system.reconstruct(tid, t), system.reconstruct(tid, 9)])
+        expected = []
+        for _ in range(3):
+            expected.append(np.einsum("k,kd->d", coefficients, window))
+            window = np.stack([expected[-1], window[0]])
+        forecast = system.predict_next_positions(tid, t, horizon=3)
+        assert forecast.tobytes() == np.stack(expected).tobytes()
 
     def test_local_search_radius_exposed(self, fitted_ppq_s):
         radius = fitted_ppq_s.engine.local_search_radius

@@ -18,6 +18,7 @@ from repro import PPQTrajectory
 from repro.cli import EXIT_ARTIFACT, main
 from repro.core.config import CQCConfig
 from repro.data.synthetic import PORTO_LIKE, generate_dataset, generate_porto_like
+from repro.data.trajectory import Trajectory, TrajectoryDataset
 from repro.queries.batch import Workload
 from repro.storage import (
     ArtifactChecksumError,
@@ -29,7 +30,12 @@ from repro.storage import (
     save_model,
 )
 from repro.storage.format import FORMAT_VERSION, MAGIC, pack_artifact, unpack_artifact
-from repro.storage.io import _encode_index
+from repro.storage.io import (
+    _encode_dataset,
+    _encode_index,
+    _encode_reconstructions,
+    _encode_records,
+)
 
 
 @pytest.fixture(scope="module")
@@ -307,16 +313,92 @@ def test_salvage_rebuilds_corrupt_index(salvage_saved, tmp_path, dataset):
     _assert_strq_equal(original, loaded, dataset)
 
 
-def test_salvage_recomputes_corrupt_reconstructions(salvage_saved, tmp_path, dataset):
-    original, path = salvage_saved
-    bad = _flip_section_byte(path, tmp_path, "RECON")
+def _gapped(dataset, gap=3):
+    """Copy of ``dataset`` with a ``gap``-step hole in the middle of every trajectory."""
+    return TrajectoryDataset(
+        Trajectory(traj.traj_id, traj.points,
+                   traj.timestamps + gap * (np.arange(len(traj)) >= len(traj) // 2))
+        for traj in dataset
+    )
+
+
+@pytest.fixture(scope="module", params=["contiguous", "gapped"])
+def replay_saved(request, dataset, tmp_path_factory):
+    """A fitted+saved PPQ-S system on the contiguous dataset or a gapped copy."""
+    data = dataset if request.param == "contiguous" else _gapped(dataset)
+    system = PPQTrajectory.ppq_s().fit(data)
+    path = tmp_path_factory.mktemp("replay") / "model.ppq"
+    system.save(path)
+    return system, path, data
+
+
+def _stored_points(summary):
+    return sum(len(points) for points in summary._reconstructions.values())
+
+
+def _answer_bytes(result) -> bytes:
+    """Every field of an STRQ/TPQ/exact answer, arrays as raw bytes."""
+    fields = []
+    for name, value in sorted(vars(result).items()):
+        if isinstance(value, dict):
+            value = [(key, value[key].tobytes()) for key in sorted(value)]
+        fields.append((name, value))
+    return repr((type(result).__name__, fields)).encode()
+
+
+@pytest.mark.parametrize("sections", [("RECON",), ("RECON", "INDEX")],
+                         ids=["recon", "recon+index"])
+def test_salvage_recomputes_corrupt_reconstructions(replay_saved, tmp_path, sections):
+    """Salvage replays the reconstructions, gaps included: every answer equals
+    the clean model's byte for byte."""
+    original, path, data = replay_saved
+    bad = path
+    for name in sections:
+        bad = _flip_section_byte(bad, tmp_path, name)
+    loaded = load_model(bad, strict=False)
+    assert loaded.load_report.rebuilt == list(sections)
+    assert _stored_points(loaded.summary) == loaded.summary.num_points == data.num_points
+    for t in original.summary.timestamps:
+        for tid in original.summary.trajectories_at(t):
+            assert (original.summary.reconstruct_point(tid, t).tobytes()
+                    == loaded.summary.reconstruct_point(tid, t).tobytes()), (tid, t)
+    specs = []
+    for i, (x, y, t) in enumerate(_query_probes(data, n=60, seed=29)):
+        kind = ("strq", "tpq", "exact")[i % 3]
+        specs.append({"type": kind, "x": x, "y": y, "t": t, "length": 8})
+    workload = Workload.from_obj(specs)
+    clean, salvaged = original.run_batch(workload), loaded.run_batch(workload)
+    assert any(getattr(answer, "candidates", None) for answer in clean)
+    assert [_answer_bytes(a) for a in clean] == [_answer_bytes(b) for b in salvaged]
+
+
+def test_every_summary_holds_every_reconstruction(replay_saved, tmp_path):
+    """Fit, strict load and salvage load all store one reconstruction per point."""
+    original, path, data = replay_saved
+    strict = load_model(path)
+    salvaged = load_model(_flip_section_byte(path, tmp_path, "RECON"), strict=False)
+    for system in (original, strict, salvaged):
+        assert _stored_points(system.summary) == system.summary.num_points == data.num_points
+
+
+def test_incomplete_reconstructions_are_replayed(replay_saved, tmp_path):
+    """A RECON section missing points (as saved after a lazy salvage before
+    replay existed) fails a strict load and is replayed by a salvage load."""
+    original, path, _data = replay_saved
+    _version, payloads = unpack_artifact(path.read_bytes())
+    partial = load_model(path)
+    dropped = max(partial.summary._reconstructions)
+    del partial.summary._reconstructions[dropped]
+    payloads["RECON"] = _encode_reconstructions(partial.summary)
+    bad = tmp_path / "partial_recon.ppq"
+    bad.write_bytes(pack_artifact(list(payloads.items())))
+    with pytest.raises(ArtifactFormatError, match="RECON holds"):
+        load_model(bad)
     loaded = load_model(bad, strict=False)
     assert loaded.load_report.rebuilt == ["RECON"]
-    for t in original.summary.timestamps[:10]:
-        for tid in original.summary.trajectories_at(t):
-            assert np.array_equal(original.summary.reconstruct_point(tid, t),
-                                  loaded.summary.reconstruct_point(tid, t))
-    _assert_strq_equal(original, loaded, dataset)
+    for t in original.summary.appearances(dropped):
+        assert (original.summary.reconstruct_point(dropped, t).tobytes()
+                == loaded.summary.reconstruct_point(dropped, t).tobytes())
 
 
 def test_salvage_recomputes_long_trajectories(tmp_path):
@@ -357,6 +439,45 @@ def test_salvage_drops_corrupt_rawdata(salvage_saved, tmp_path, dataset):
     with pytest.raises(RuntimeError, match="raw dataset"):
         loaded.exact(x, y, t)
     _assert_strq_equal(original, loaded, dataset)  # approx queries unaffected
+
+
+def test_record_without_partition_is_a_format_error(salvage_saved, tmp_path):
+    """Replay needs each summarised point's partition: a record that lacks
+    one is refused by strict and salvage loads alike."""
+    _, path = salvage_saved
+    summary = load_model(path).summary
+    record = summary.records[summary.timestamps[3]]
+    del record.partition_of[min(record.partition_of)]
+    _version, payloads = unpack_artifact(path.read_bytes())
+    payloads["RECORDS"] = _encode_records(summary)
+    bad = tmp_path / "no_partition.ppq"
+    bad.write_bytes(pack_artifact(list(payloads.items())))
+    for strict in (True, False):
+        with pytest.raises(ArtifactFormatError, match="RECORDS at t="):
+            load_model(bad, strict=strict)
+
+
+def test_rawdata_with_repeated_timestamps_is_a_format_error(salvage_saved, tmp_path,
+                                                            dataset, capsys):
+    """RAWDATA written before repeated timestamps were rejected: strict loads
+    refuse it with a format error (exit 3) and salvage drops it."""
+    original, path = salvage_saved
+    repeated = TrajectoryDataset(Trajectory(traj.traj_id, traj.points) for traj in dataset)
+    traj = repeated.get(dataset.trajectory_ids[0])
+    traj.timestamps = np.insert(traj.timestamps[:-1], 4, 3)   # 0, 1, 2, 3, 3, 4, ...
+    _version, payloads = unpack_artifact(path.read_bytes())
+    payloads["RAWDATA"] = _encode_dataset(repeated)
+    bad = tmp_path / "repeated.ppq"
+    bad.write_bytes(pack_artifact(list(payloads.items())))
+    with pytest.raises(ArtifactFormatError, match="3 follows 3"):
+        load_model(bad)
+    assert main(["load", str(bad)]) == EXIT_ARTIFACT
+    err = capsys.readouterr().err
+    assert "error: artifact" in err and "Traceback" not in err
+    with pytest.warns(RuntimeWarning, match="exact"):
+        loaded = load_model(bad, strict=False)
+    assert loaded.load_report.dropped == ["RAWDATA"]
+    _assert_strq_equal(original, loaded, dataset)
 
 
 @pytest.mark.parametrize("section", ["CONFIG", "CODEBOOK", "RECORDS"])
