@@ -21,10 +21,8 @@ A from-scratch Python reproduction of Wang & Ferhatosmanoglu, PVLDB 14(2),
   utilities used by the benchmark harness;
 * :mod:`repro.storage` -- versioned on-disk model artifacts
   (:func:`save_model` / :func:`load_model`) for the build-once/serve-many
-  deployment split;
-* :mod:`repro.reliability` -- fault injection (:class:`FaultPlan` /
-  :func:`inject_faults`), retry policies, salvage load reports and graceful
-  query degradation for fault-tolerant serving;
+  deployment split, with a CRC32 per section and salvage loads that rebuild
+  the derivable sections of a damaged artifact (:class:`LoadReport`).
 """
 
 from repro.core.config import CQCConfig, IndexConfig, PPQConfig, PartitionCriterion
@@ -32,19 +30,11 @@ from repro.core.epq import ErrorBoundedPredictiveQuantizer
 from repro.core.pipeline import PPQTrajectory
 from repro.core.ppq import PartitionwisePredictiveQuantizer
 from repro.core.summary import TrajectorySummary
-from repro.queries.engine import QueryEngine
-from repro.reliability import (
-    FaultError,
-    FaultPlan,
-    LoadReport,
-    QueryError,
-    RetryPolicy,
-    inject_faults,
-)
+from repro.queries.engine import QueryEngine, QueryError
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
-from repro.storage import inspect_model, load_model, save_model  # noqa: E402
+from repro.storage import LoadReport, inspect_model, load_model, save_model  # noqa: E402
 
 __all__ = [
     "PPQTrajectory",
@@ -56,12 +46,8 @@ __all__ = [
     "ErrorBoundedPredictiveQuantizer",
     "TrajectorySummary",
     "QueryEngine",
-    "FaultError",
-    "FaultPlan",
     "LoadReport",
     "QueryError",
-    "RetryPolicy",
-    "inject_faults",
     "save_model",
     "load_model",
     "inspect_model",

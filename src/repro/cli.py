@@ -26,16 +26,11 @@ Five subcommands cover the build/serve workflow end to end:
     against either a freshly fitted repository (dataset flags) or a saved
     artifact (``--model``), without refitting.
 
-``chaos``
-    Fault-injection self-test: answer a workload once cleanly, then again
-    on a fresh engine with deterministic faults injected at the chosen
-    points, and verify that degraded results are identical to the clean
-    ones.  The seed is always echoed so any failing run is reproducible.
-
 Failures map to distinct exit codes so scripts can react without parsing
-stderr: ``2`` usage / unreadable files, ``3`` artifact errors (missing,
-malformed, corrupt), ``4`` invalid workload files, ``5`` query failures
-(including a chaos run that was not equivalent).
+stderr: ``2`` usage errors, unreadable files and dataset sources that
+cannot be loaded or hold no trajectories, ``3`` artifact errors (missing,
+malformed, corrupt -- ``info`` included), ``4`` invalid workload files,
+``5`` query failures.
 
 Examples
 --------
@@ -47,7 +42,6 @@ Examples
     python -m repro load --no-strict model.ppq
     python -m repro query --model model.ppq --x -8.62 --y 41.16 --t 20 --length 10
     python -m repro query --model model.ppq --workload workload.json
-    python -m repro chaos --synthetic porto --trajectories 50 --fault-points index.cell_decode
 """
 
 from __future__ import annotations
@@ -56,25 +50,17 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from repro.core.config import CQCConfig, IndexConfig, PPQConfig, PartitionCriterion
 from repro.core.pipeline import PPQTrajectory
 from repro.data.loaders import load_plt_directory, load_porto_csv
 from repro.data.synthetic import generate_geolife_like, generate_porto_like
+from repro.data.trajectory import TrajectoryDataset
 from repro.metrics.accuracy import mean_absolute_error
-from repro.queries.batch import QuerySpec, Workload, WorkloadError
-from repro.queries.engine import QueryEngine
+from repro.queries.batch import Workload, WorkloadError
+from repro.queries.engine import QueryError
 from repro.queries.exact import ExactQueryResult
 from repro.queries.strq import STRQResult
 from repro.queries.tpq import TPQResult
-from repro.reliability import (
-    INJECTION_POINTS,
-    FaultPlan,
-    QueryError,
-    RetryPolicy,
-    inject_faults,
-)
 from repro.storage import ArtifactError, inspect_model
 
 #: Exit codes; distinct so scripts can branch on the failure class.
@@ -98,23 +84,21 @@ class _ReproArgumentParser(argparse.ArgumentParser):
 
     def parse_args(self, args=None, namespace=None):  # type: ignore[override]
         parsed = super().parse_args(args, namespace)
-        command = getattr(parsed, "command", None)
-        if command not in ("query", "chaos"):
+        if getattr(parsed, "command", None) != "query":
             return parsed
         has_dataset = bool(parsed.porto_csv or parsed.geolife_dir or parsed.synthetic)
-        if getattr(parsed, "model", None):
+        if parsed.model:
             if has_dataset:
                 self.error("--model replaces the dataset flags; give one or the other")
         elif not has_dataset:
-            self.error(f"{command} needs a dataset source "
+            self.error("query needs a dataset source "
                        "(--porto-csv/--geolife-dir/--synthetic) or --model")
-        if command == "query":
-            if not getattr(parsed, "workload", None):
-                missing = [flag for flag, value in
-                           (("--x", parsed.x), ("--y", parsed.y), ("--t", parsed.t))
-                           if value is None]
-                if missing:
-                    self.error(f"query needs either --workload or {', '.join(missing)}")
+        if not parsed.workload:
+            missing = [flag for flag, value in
+                       (("--x", parsed.x), ("--y", parsed.y), ("--t", parsed.t))
+                       if value is None]
+            if missing:
+                self.error(f"query needs either --workload or {', '.join(missing)}")
         return parsed
 
 
@@ -167,29 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --model: --no-strict salvages corrupt sections "
                             "instead of refusing to load (default: strict)")
 
-    chaos = subparsers.add_parser(
-        "chaos",
-        help="inject deterministic faults and verify degraded answers match clean ones")
-    _add_dataset_arguments(chaos, required=False)
-    _add_quantizer_arguments(chaos)
-    chaos.add_argument("--model", default=None,
-                       help="run against this saved artifact instead of fitting a dataset")
-    chaos.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
-                       help="with --model: salvage corrupt sections when --no-strict")
-    chaos.add_argument("--workload", default=None,
-                       help="JSON workload file; default is a synthesized STRQ/TPQ mix")
-    chaos.add_argument("--queries", type=int, default=25,
-                       help="number of synthesized queries when no --workload (default 25)")
-    chaos.add_argument("--fault-points", nargs="+", default=["index.cell_decode"],
-                       choices=list(INJECTION_POINTS), metavar="POINT",
-                       help="injection points to arm (default: index.cell_decode; "
-                            f"choices: {', '.join(INJECTION_POINTS)})")
-    chaos.add_argument("--probability", type=float, default=1.0,
-                       help="per-check fault probability (default 1.0)")
-    chaos.add_argument("--fault-seed", type=int, default=0,
-                       help="seed for the fault plan RNG (echoed for reproducibility)")
-    chaos.add_argument("--mode", choices=["degrade", "fail-fast"], default="degrade",
-                       help="degrade = quarantine and repair; fail-fast = surface errors")
     return parser
 
 
@@ -225,6 +186,25 @@ def load_dataset(args: argparse.Namespace):
     return generate_porto_like(num_trajectories=args.trajectories, seed=args.seed)
 
 
+def _load_source(args: argparse.Namespace) -> TrajectoryDataset | int:
+    """:func:`load_dataset`, or :data:`EXIT_USAGE` after a one-line error.
+
+    A source fails when its loader raises ``OSError`` (missing file or
+    directory) or ``ValueError`` (unparseable contents), or when it yields
+    no trajectories: there is nothing to fit then.
+    """
+    source = args.porto_csv or args.geolife_dir or f"synthetic {args.synthetic}"
+    try:
+        dataset = load_dataset(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot load dataset {source!r}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if not len(dataset):
+        print(f"error: dataset {source!r} holds no trajectories", file=sys.stderr)
+        return EXIT_USAGE
+    return dataset
+
+
 def build_system(args: argparse.Namespace) -> PPQTrajectory:
     """Build the PPQ-trajectory system selected by the CLI arguments."""
     if args.variant == "ppq-a":
@@ -242,7 +222,9 @@ def build_system(args: argparse.Namespace) -> PPQTrajectory:
 def run_compress(args: argparse.Namespace, out=None) -> int:
     """Handle the ``compress`` subcommand."""
     out = out if out is not None else sys.stdout
-    dataset = load_dataset(args)
+    dataset = _load_source(args)
+    if isinstance(dataset, int):
+        return dataset
     system = build_system(args)
     system.fit(dataset, build_index=False)
     mae = mean_absolute_error(system.summary, dataset)
@@ -258,7 +240,9 @@ def run_compress(args: argparse.Namespace, out=None) -> int:
 def run_save(args: argparse.Namespace, out=None) -> int:
     """Handle the ``save`` subcommand: fit, serialize, report."""
     out = out if out is not None else sys.stdout
-    dataset = load_dataset(args)
+    dataset = _load_source(args)
+    if isinstance(dataset, int):
+        return dataset
     system = build_system(args)
     system.fit(dataset)
     path = system.save(args.output, include_raw=not args.no_raw)
@@ -332,7 +316,12 @@ def run_info(args: argparse.Namespace, out=None) -> int:
         print(f"  {section.name:<8} offset={section.offset:<10} "
               f"bytes={section.length:<10} crc={status}", file=out)
     print(f"checksums           : {'ok' if info.checksums_ok else 'FAILED'}", file=out)
-    return 0 if info.checksums_ok else 1
+    if info.checksums_ok:
+        return EXIT_OK
+    corrupt = ", ".join(section.name for section in info.sections if not section.crc_ok)
+    print(f"error: artifact {args.artifact!r}: checksum mismatch in section(s) {corrupt}",
+          file=sys.stderr)
+    return EXIT_ARTIFACT
 
 
 def run_query(args: argparse.Namespace, out=None) -> int:
@@ -370,7 +359,9 @@ def _obtain_system(args: argparse.Namespace) -> PPQTrajectory | int:
         except ArtifactError as exc:
             print(f"error: artifact {args.model!r}: {exc}", file=sys.stderr)
             return EXIT_ARTIFACT
-    dataset = load_dataset(args)
+    dataset = _load_source(args)
+    if isinstance(dataset, int):
+        return dataset
     system = build_system(args)
     system.fit(dataset)
     return system
@@ -430,122 +421,6 @@ def _run_workload(system: PPQTrajectory, path: str, out) -> int:
     return 0
 
 
-def run_chaos(args: argparse.Namespace, out=None) -> int:
-    """Handle the ``chaos`` subcommand: clean pass vs. fault-injected pass.
-
-    The workload is answered once on the model's own engine with no faults
-    armed, then again on a *fresh* engine (fresh index and caches) while the
-    requested fault plan is active.  In ``degrade`` mode the second pass must
-    produce byte-identical results -- that is the serving guarantee the
-    reliability layer makes -- so any mismatch (or surviving query error)
-    exits with :data:`EXIT_QUERY`.
-    """
-    out = out if out is not None else sys.stdout
-    system = _obtain_system(args)
-    if isinstance(system, int):
-        return system
-    if args.workload:
-        try:
-            workload = Workload.from_file(args.workload)
-        except OSError as exc:
-            print(f"error: cannot read workload file: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except (WorkloadError, ValueError, KeyError, TypeError) as exc:
-            print(f"error: invalid workload file {args.workload!r}: {exc}", file=sys.stderr)
-            return EXIT_WORKLOAD
-    else:
-        workload = _chaos_workload(system, max(1, args.queries))
-    if workload.counts()["exact"] and system.engine.raw_dataset is None:
-        print("error: workload contains exact queries but the model has no raw data",
-              file=sys.stderr)
-        return EXIT_WORKLOAD
-
-    clean = system.engine.run_batch(workload)
-    # The faulted pass runs on a fresh engine so no decoded-posting or
-    # reconstruction cache can mask the injected faults.  Built *before*
-    # faults are armed: chaos targets serving, not index construction.
-    engine = QueryEngine(
-        system.summary, system.engine.index_config,
-        raw_dataset=system.engine.raw_dataset,
-        on_fault="degrade" if args.mode == "degrade" else "raise",
-        retry_policy=RetryPolicy(max_retries=2, backoff=0.0),
-    )
-    plan = FaultPlan.from_spec(args.fault_points, probability=args.probability,
-                               seed=args.fault_seed)
-    with inject_faults(plan) as injector:
-        faulted = engine.run_batch(workload, isolate=True)
-
-    errors = [r for r in faulted if isinstance(r, QueryError)]
-    mismatches = sum(
-        1 for before, after in zip(clean, faulted)
-        if isinstance(after, QueryError) or not _results_equal(before, after)
-    )
-    fired = ", ".join(f"{point}={count}"
-                      for point, count in sorted(injector.fired.items())) or "none"
-    print(f"fault seed          : {plan.seed}", file=out)
-    print(f"fault points        : {', '.join(args.fault_points)}", file=out)
-    print(f"mode                : {args.mode}", file=out)
-    print(f"queries             : {len(workload)}", file=out)
-    print(f"faults fired        : {injector.total_fired} ({fired})", file=out)
-    print(f"cells quarantined   : {len(engine.quarantined)}", file=out)
-    print(f"query errors        : {len(errors)}", file=out)
-    verdict = "ok (degraded results identical to clean)" if mismatches == 0 else \
-        f"FAILED ({mismatches} of {len(workload)} queries differ)"
-    print(f"equivalence         : {verdict}", file=out)
-    if mismatches == 0:
-        return 0
-    for err in errors:
-        print(f"error: query #{err.index} ({err.kind}) failed: "
-              f"{err.error_type}: {err.message}", file=sys.stderr)
-    print(f"error: chaos run not equivalent (seed {plan.seed})", file=sys.stderr)
-    return EXIT_QUERY
-
-
-def _chaos_workload(system: PPQTrajectory, n: int) -> Workload:
-    """Synthesize a deterministic STRQ/TPQ mix probing real summary points.
-
-    Probes are taken from reconstructed slices spread across the time span so
-    the queries hit populated index cells (a chaos run against empty space
-    would exercise nothing).
-    """
-    summary = system.summary
-    timestamps = summary.timestamps
-    if not timestamps:
-        raise ValueError("model has no timestamps to query")
-    probes: list[tuple[float, float, int]] = []
-    stride = max(1, len(timestamps) // 8)
-    for t in timestamps[::stride]:
-        for tid in sorted(summary.reconstruct_slice(int(t)))[:3]:
-            point = summary.reconstruct_slice(int(t))[tid]
-            probes.append((float(point[0]), float(point[1]), int(t)))
-    specs = []
-    for i in range(n):
-        x, y, t = probes[i % len(probes)]
-        if i % 2:
-            specs.append(QuerySpec(kind="tpq", x=x, y=y, t=t, length=5))
-        else:
-            specs.append(QuerySpec(kind="strq", x=x, y=y, t=t))
-    return Workload(queries=specs)
-
-
-def _results_equal(a, b) -> bool:
-    """True when two query results are identical (exact array equality)."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, STRQResult):
-        return (sorted(a.candidates) == sorted(b.candidates)
-                and sorted(a.reconstructed) == sorted(b.reconstructed)
-                and all(np.array_equal(a.reconstructed[k], b.reconstructed[k])
-                        for k in a.reconstructed))
-    if isinstance(a, TPQResult):
-        return (sorted(a.paths) == sorted(b.paths)
-                and all(np.array_equal(a.paths[k], b.paths[k]) for k in a.paths))
-    if isinstance(a, ExactQueryResult):
-        return (sorted(a.candidates) == sorted(b.candidates)
-                and sorted(a.matches) == sorted(b.matches))
-    return a == b
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -558,8 +433,6 @@ def main(argv: list[str] | None = None) -> int:
         return run_load(args)
     if args.command == "info":
         return run_info(args)
-    if args.command == "chaos":
-        return run_chaos(args)
     return run_query(args)
 
 

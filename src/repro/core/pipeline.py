@@ -161,7 +161,7 @@ class PPQTrajectory:
         return save_model(self, path, include_raw=include_raw)
 
     @classmethod
-    def load(cls, path, verify: bool = True, strict: bool = True) -> "PPQTrajectory":
+    def load(cls, path, strict: bool = True) -> "PPQTrajectory":
         """Restore a query-ready system from a model artifact.
 
         The loaded system answers STRQ/TPQ/exact workloads identically --
@@ -171,9 +171,8 @@ class PPQTrajectory:
         Parameters
         ----------
         path:
-            An artifact written by :meth:`save`.
-        verify:
-            Verify every section's CRC32 before decoding (default).
+            An artifact written by :meth:`save`; every section's CRC32 is
+            checked before it is decoded.
         strict:
             With ``strict=False`` a damaged artifact is salvaged where
             possible -- derivable sections (reconstructions, index)
@@ -197,7 +196,7 @@ class PPQTrajectory:
         """
         from repro.storage.io import load_model
 
-        return load_model(path, verify=verify, strict=strict)
+        return load_model(path, strict=strict)
 
     # ------------------------------------------------------------------ #
     # reconstruction and reporting

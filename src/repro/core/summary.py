@@ -22,7 +22,6 @@ import numpy as np
 from repro.core.codebook import Codebook
 from repro.core.config import CQCConfig, PPQConfig
 from repro.core.prediction import lag_history
-from repro.reliability import faults as _faults
 
 
 class ReconstructionCache:
@@ -310,8 +309,6 @@ class TrajectorySummary:
         and a CQC code was stored, otherwise the ε₁-bounded reconstruction
         ``(x̂, ŷ)``.  ``None`` when the trajectory was not summarised at ``t``.
         """
-        if _faults.ACTIVE is not None:
-            _faults.ACTIVE.check("summary.reconstruct", key=(int(traj_id), int(t)))
         base = self._reconstructions.get(int(traj_id), {}).get(int(t))
         if base is None:
             return None

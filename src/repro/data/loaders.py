@@ -61,7 +61,18 @@ def load_plt_directory(root: str, min_length: int = 30,
     Each ``.plt`` file becomes one trajectory; the six header lines of the
     GeoLife format are skipped and the ``latitude, longitude`` columns are
     stored as ``(x=longitude, y=latitude)``.
+
+    Raises
+    ------
+    FileNotFoundError
+        If ``root`` does not exist.
+    NotADirectoryError
+        If ``root`` exists but is not a directory.
     """
+    if not os.path.isdir(root):
+        if os.path.exists(root):
+            raise NotADirectoryError(f"{root} is not a directory")
+        raise FileNotFoundError(f"{root} does not exist")
     trajectories: list[Trajectory] = []
     for dirpath, _dirnames, filenames in sorted(os.walk(root)):
         for filename in sorted(filenames):

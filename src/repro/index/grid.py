@@ -1,10 +1,13 @@
 """Per-rectangle grid index with compressed trajectory-ID posting lists.
 
-Each disjoint rectangle produced by the partition index is covered by a
-uniform grid of cells of side ``g_c`` (Algorithm 3, line 11).  Every trajectory
-point falling inside the rectangle is mapped to its cell and its trajectory ID
-is appended to the cell's posting list, which is stored delta+Huffman
-compressed (:mod:`repro.index.idcodec`).
+Each rectangle of the partition index is covered by a uniform grid of cells
+of side ``g_c`` (Algorithm 3, line 11).  Every trajectory point falling inside
+the rectangle is mapped to its cell and its trajectory ID is appended to the
+cell's posting list, which is stored delta+Huffman compressed
+(:mod:`repro.index.idcodec`).  A PI's rectangles start out disjoint, but
+those a TPI insertion appends may overlap older ones
+(:meth:`~repro.index.tpi.TemporalPartitionIndex.insert_slice`); a point
+inside several rectangles is posted in each of their grids.
 
 Cell boundaries are anchored at the coordinate origin (cell ``(i, j)`` covers
 ``[i*g_c, (i+1)*g_c) x [j*g_c, (j+1)*g_c)``), not at the rectangle corner, so
@@ -21,30 +24,6 @@ import numpy as np
 
 from repro.index.idcodec import CompressedIdList, compress_ids, decompress_ids
 from repro.index.rectangles import Rect
-from repro.reliability import faults as _faults
-from repro.reliability.faults import FaultError
-
-
-class PostingDecodeError(RuntimeError):
-    """A grid cell's stored posting list could not be decoded.
-
-    Wraps the low-level decode failure (corrupt Huffman stream, truncated
-    bit stream, injected fault) with enough context -- the cell, the owning
-    grid and the original cause -- for the query engine to quarantine the
-    cell and recompute its postings from summary reconstructions instead of
-    aborting the query.
-    """
-
-    def __init__(self, cell: tuple[int, int], grid: "GridIndex",
-                 cause: BaseException) -> None:
-        super().__init__(
-            f"posting list of cell {cell} failed to decode: "
-            f"{type(cause).__name__}: {cause}"
-        )
-        self.cell = cell
-        self.grid = grid
-        self.cause = cause
-        self.transient = bool(getattr(cause, "transient", False))
 
 
 def encode_cells(cells: np.ndarray) -> np.ndarray:
@@ -120,11 +99,7 @@ class GridIndex:
         for cell, ids in self._staging.items():
             existing = self._cells.get(cell)
             if existing is not None:
-                # Prefer the decoded cache: after a quarantine repair it is
-                # the authoritative copy (the compressed payload may still be
-                # the corrupt original).
-                decoded = self._decoded.get(cell)
-                ids.update(decoded if decoded is not None else self._decode_cell(cell, existing))
+                ids.update(decompress_ids(existing))
             self._cells[cell] = compress_ids(ids)
             self._decoded.pop(cell, None)
         self._table = None
@@ -146,42 +121,18 @@ class GridIndex:
         points = np.asarray(points, dtype=float)
         return np.floor(points / self.cell_size).astype(np.int64)
 
-    def _decode_cell(self, cell: tuple[int, int],
-                     compressed: CompressedIdList) -> tuple[int, ...]:
-        """Decode one compressed posting list, wrapping failures with context.
-
-        This is the ``index.cell_decode`` fault-injection point; injected
-        faults and genuine decode failures (corrupt Huffman streams raise
-        ``ValueError``/``EOFError``/``KeyError`` from the codec layers) both
-        surface as :class:`PostingDecodeError` so the engine's quarantine
-        logic has a single exception type to catch.
-        """
-        try:
-            if _faults.ACTIVE is not None:
-                _faults.ACTIVE.check("index.cell_decode", key=cell)
-            return tuple(decompress_ids(compressed))
-        except (FaultError, ValueError, EOFError, KeyError) as exc:
-            raise PostingDecodeError(cell, self, exc) from exc
-
-    def patch_cell(self, cell: tuple[int, int], ids) -> None:
-        """Install externally recovered postings for a quarantined cell.
-
-        Used by the engine's degradation path after recomputing a corrupt
-        cell's IDs from summary reconstructions: the decoded cache becomes
-        the authoritative copy and the batched lookup table is invalidated
-        so it is rebuilt from the patched postings.
-        """
-        self._decoded[cell] = tuple(int(i) for i in ids)
-        self._table = None
-
     def ids_in_cell(self, cell: tuple[int, int]) -> list[int]:
-        """Trajectory IDs stored in one grid cell (empty list if none)."""
+        """Trajectory IDs stored in one grid cell (empty list if none).
+
+        A posting list that does not decode raises what the codec raises
+        (``ValueError`` or ``EOFError``).
+        """
         decoded = self._decoded.get(cell)
         if decoded is None:
             compressed = self._cells.get(cell)
             if compressed is None:
                 return []
-            self._decoded[cell] = decoded = self._decode_cell(cell, compressed)
+            self._decoded[cell] = decoded = tuple(decompress_ids(compressed))
         return list(decoded)
 
     def decoded_postings(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -195,7 +146,7 @@ class GridIndex:
         if len(self._decoded) < len(self._cells):
             for cell, compressed in self._cells.items():
                 if cell not in self._decoded:
-                    self._decoded[cell] = self._decode_cell(cell, compressed)
+                    self._decoded[cell] = tuple(decompress_ids(compressed))
         return self._decoded
 
     def encoded_table(self) -> tuple[np.ndarray, list[tuple[int, ...]]]:

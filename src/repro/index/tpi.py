@@ -25,7 +25,6 @@ import numpy as np
 from repro.core.config import IndexConfig
 from repro.data.trajectory import TrajectoryDataset
 from repro.index.pi import PartitionIndex, build_partition_index
-from repro.reliability import faults as _faults
 
 
 @dataclass
@@ -175,8 +174,6 @@ class TemporalPartitionIndex:
 
     def lookup(self, x: float, y: float, t: int) -> list[int]:
         """Trajectory IDs indexed at the grid cell of ``(x, y)`` for time ``t``."""
-        if _faults.ACTIVE is not None:
-            _faults.ACTIVE.check("index.tpi_lookup", key=int(t))
         period = self.period_for(int(t))
         if period is None:
             return []
@@ -184,8 +181,6 @@ class TemporalPartitionIndex:
 
     def lookup_local(self, x: float, y: float, t: int, radius: float) -> list[int]:
         """Local-search lookup within ``radius`` (Section 5.2)."""
-        if _faults.ACTIVE is not None:
-            _faults.ACTIVE.check("index.tpi_lookup", key=int(t))
         period = self.period_for(int(t))
         if period is None:
             return []
@@ -229,8 +224,6 @@ class TemporalPartitionIndex:
     def _dispatch_batch(self, xs: np.ndarray, ys: np.ndarray, ts: np.ndarray,
                         radius: float | None) -> list[list[int]]:
         """Group queries by period and fan them out to the per-period PIs."""
-        if _faults.ACTIVE is not None:
-            _faults.ACTIVE.check("index.tpi_lookup", key="batch")
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         ts = np.asarray(ts, dtype=np.int64)

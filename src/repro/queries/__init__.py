@@ -7,7 +7,9 @@
 * :mod:`repro.queries.batch` -- batched execution of mixed workloads with
   vectorised index scans and cached slice reconstructions.
 * :mod:`repro.queries.engine` -- :class:`QueryEngine`, a convenience object
-  tying a summary and a TPI together and exposing all query types.
+  tying a summary and a TPI together and exposing all query types, and
+  :class:`QueryError`, the result slot of a query that failed inside an
+  isolated batch.
 """
 
 from repro.queries.strq import STRQResult, spatio_temporal_range_query
@@ -21,7 +23,7 @@ from repro.queries.batch import (
     batch_strq,
     batch_tpq,
 )
-from repro.queries.engine import QueryEngine
+from repro.queries.engine import QueryEngine, QueryError
 
 __all__ = [
     "STRQResult",
@@ -37,4 +39,5 @@ __all__ = [
     "batch_tpq",
     "batch_exact",
     "QueryEngine",
+    "QueryError",
 ]

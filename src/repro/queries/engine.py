@@ -8,6 +8,8 @@ defaults applied.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.config import IndexConfig
@@ -15,35 +17,31 @@ from repro.core.prediction import lag_history
 from repro.core.summary import TrajectorySummary
 from repro.cqc.local_search import search_radius
 from repro.data.trajectory import Trajectory, TrajectoryDataset
-from repro.index.grid import PostingDecodeError
-from repro.index.tpi import TemporalPartitionIndex, TimePeriod
+from repro.index.tpi import TemporalPartitionIndex
 from repro.queries.batch import QuerySpec, Workload, batch_exact, batch_strq, batch_tpq
-from repro.reliability.degrade import QuarantineRecord, QueryError, recompute_cell_postings
-from repro.reliability.retry import RetryExhaustedError, RetryPolicy
 from repro.queries.exact import ExactQueryResult, exact_match_query
 from repro.queries.strq import STRQResult, spatio_temporal_range_query
 from repro.queries.tpq import TPQResult, trajectory_path_query
 
 
-def _posting_error_in(error: BaseException) -> PostingDecodeError | None:
-    """Find a :class:`PostingDecodeError` on ``error``'s cause chain, if any.
+@dataclass(frozen=True)
+class QueryError:
+    """Structured failure record for one query of an isolated batch.
 
-    Retry policies wrap the final failure in a ``RetryExhaustedError``; the
-    degradation path needs the underlying decode error (with its grid/cell
-    context) to know what to quarantine.
+    Appears in the corresponding result slot of
+    ``QueryEngine.run_batch(..., isolate=True)`` so callers can correlate
+    failures with workload positions without parsing tracebacks.
     """
-    seen: set[int] = set()
-    current: BaseException | None = error
-    while current is not None and id(current) not in seen:
-        seen.add(id(current))
-        if isinstance(current, PostingDecodeError):
-            return current
-        current = (
-            getattr(current, "last_error", None)
-            or getattr(current, "cause", None)
-            or current.__cause__
-        )
-    return None
+
+    index: int
+    kind: str
+    error_type: str
+    message: str
+
+    @classmethod
+    def from_exception(cls, index: int, kind: str, error: BaseException) -> "QueryError":
+        return cls(index=index, kind=kind, error_type=type(error).__name__,
+                   message=str(error))
 
 
 class QueryEngine:
@@ -61,36 +59,18 @@ class QueryEngine:
         Optional pre-built TPI.  When given (e.g. restored from a model
         artifact by :func:`repro.storage.load_model`), it is used as-is and
         no index is built from the summary.
-    on_fault:
-        ``"degrade"`` (the default): when a grid cell's posting list fails
-        to decode mid-query, quarantine the cell, recompute its postings by
-        brute force from summary reconstructions over the owning time
-        period, patch the index and re-run -- results stay identical to the
-        healthy path.  ``"raise"``: fail fast, propagating the
-        :class:`~repro.index.grid.PostingDecodeError`.
-    retry_policy:
-        Optional :class:`~repro.reliability.retry.RetryPolicy` applied to
-        every guarded query; transient faults (flaky reads) are retried
-        with exponential backoff before degradation is considered.
     """
+
+    #: Always empty.  The benchmark ledger reads its length as the
+    #: ``reliability.quarantined`` metric; it goes when that metric does.
+    quarantined: tuple = ()
 
     def __init__(self, summary: TrajectorySummary, index_config: IndexConfig | None = None,
                  raw_dataset: TrajectoryDataset | None = None,
-                 index: TemporalPartitionIndex | None = None,
-                 on_fault: str = "degrade",
-                 retry_policy: RetryPolicy | None = None) -> None:
-        if on_fault not in ("degrade", "raise"):
-            raise ValueError(f"on_fault must be 'degrade' or 'raise', got {on_fault!r}")
+                 index: TemporalPartitionIndex | None = None) -> None:
         self.summary = summary
         self.index_config = index_config or IndexConfig()
         self.raw_dataset = raw_dataset
-        self.on_fault = on_fault
-        self.retry_policy = retry_policy
-        #: Quarantine log: one record per repaired cell, in repair order.
-        self.quarantined: list[QuarantineRecord] = []
-        # Cells already repaired once; a second failure of the same cell
-        # means repair cannot help, so it propagates instead of looping.
-        self._repaired: set[tuple[int, tuple[int, int]]] = set()
         self.index = index if index is not None else self._build_index()
 
     # ------------------------------------------------------------------ #
@@ -118,67 +98,6 @@ class QueryEngine:
         return TrajectoryDataset(trajectories)
 
     # ------------------------------------------------------------------ #
-    # degradation machinery
-    # ------------------------------------------------------------------ #
-    def _guard(self, fn):
-        """Run ``fn`` with retry and quarantine-repair protection.
-
-        Transient errors are retried per :attr:`retry_policy` (when set).
-        A posting-list decode failure under ``on_fault="degrade"`` triggers
-        :meth:`_quarantine_and_repair` and the query is re-run against the
-        patched index; the loop terminates because a cell that fails again
-        after its one repair propagates the error instead of re-repairing.
-        """
-        while True:
-            try:
-                if self.retry_policy is not None:
-                    return self.retry_policy.call(fn)
-                return fn()
-            except PostingDecodeError as exc:
-                if self.on_fault != "degrade":
-                    raise
-                self._quarantine_and_repair(exc)
-            except RetryExhaustedError as exc:
-                decode_error = _posting_error_in(exc)
-                if self.on_fault != "degrade" or decode_error is None:
-                    raise
-                self._quarantine_and_repair(decode_error)
-
-    def _quarantine_and_repair(self, error: PostingDecodeError) -> None:
-        """Repair one quarantined cell or re-raise if repair cannot help.
-
-        The recomputation is exact: rectangles are only ever appended to a
-        period's PI and never shrink or move, so every point inserted at
-        some timestamp of the period is still inside the same rectangle
-        (and maps to the same globally-anchored cell) under the final
-        geometry.  Scanning the period's reconstructions therefore yields
-        precisely the posting list the corrupt payload encoded.
-        """
-        grid, cell = error.grid, error.cell
-        key = (id(grid), cell)
-        if key in self._repaired:
-            raise error
-        period = self._period_of_grid(grid)
-        if period is None:
-            raise error
-        recovered = recompute_cell_postings(self.summary, grid, cell,
-                                            period.start, period.end)
-        grid.patch_cell(cell, recovered)
-        self._repaired.add(key)
-        self.quarantined.append(QuarantineRecord(
-            cell=cell, period_start=period.start, period_end=period.end,
-            reason=f"{type(error.cause).__name__}: {error.cause}",
-            recovered_ids=len(recovered),
-        ))
-
-    def _period_of_grid(self, grid) -> TimePeriod | None:
-        """The TPI period whose PI owns ``grid`` (identity scan)."""
-        for period in self.index.periods:
-            if any(g is grid for g in period.index.grids):
-                return period
-        return None
-
-    # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
     @property
@@ -191,26 +110,26 @@ class QueryEngine:
     def strq(self, x: float, y: float, t: int, local_search: bool = True) -> STRQResult:
         """Spatio-temporal range query (Definition 5.2)."""
         radius = self.local_search_radius if local_search else None
-        return self._guard(lambda: spatio_temporal_range_query(
+        return spatio_temporal_range_query(
             self.index, x, y, t, summary=self.summary, local_search_radius=radius
-        ))
+        )
 
     def tpq(self, x: float, y: float, t: int, length: int,
             local_search: bool = True) -> TPQResult:
         """Trajectory path query (Definition 5.3)."""
         radius = self.local_search_radius if local_search else None
-        return self._guard(lambda: trajectory_path_query(
+        return trajectory_path_query(
             self.index, self.summary, x, y, t, length, local_search_radius=radius
-        ))
+        )
 
     def exact(self, x: float, y: float, t: int) -> ExactQueryResult:
         """Exact-match query; requires the raw dataset for verification."""
         if self.raw_dataset is None:
             raise RuntimeError("exact queries require the raw dataset")
-        return self._guard(lambda: exact_match_query(
+        return exact_match_query(
             self.index, self.summary, self.raw_dataset, x, y, t,
             cell_size=self.index_config.grid_cell,
-        ))
+        )
 
     def run_batch(self, workload, isolate: bool = False
                   ) -> list[STRQResult | TPQResult | ExactQueryResult | QueryError]:
@@ -232,12 +151,11 @@ class QueryEngine:
             TPQ, ``length``).
         isolate:
             With ``isolate=True`` one failing query cannot abort the
-            workload: if a kind's batched pass raises even after the
-            engine's retry/degradation protections, its queries are re-run
-            individually and each failure is returned as a structured
-            :class:`~repro.reliability.degrade.QueryError` in that query's
-            result slot (successes keep their normal result objects).
-            The default re-raises the first unrecoverable error.
+            workload: if a kind's batched pass raises, its queries are
+            re-run individually and each failure is returned as a
+            structured :class:`QueryError` in that query's result slot
+            (successes keep their normal result objects).  The default
+            re-raises the first error.
 
         Examples
         --------
@@ -285,7 +203,7 @@ class QueryEngine:
                     results[position] = QueryError.from_exception(position, kind, error)
                 continue
             try:
-                answers = self._guard(lambda k=kind, p=positions: batches[k](p))
+                answers = batches[kind](positions)
             except Exception:
                 if not isolate:
                     raise
@@ -303,13 +221,10 @@ class QueryEngine:
             try:
                 results[position] = self._run_scalar(spec)
             except Exception as exc:  # noqa: BLE001 - converted to a record
-                results[position] = QueryError.from_exception(
-                    position, spec.kind, exc,
-                    attempts=getattr(exc, "attempts", 1),
-                )
+                results[position] = QueryError.from_exception(position, spec.kind, exc)
 
     def _run_scalar(self, spec: QuerySpec):
-        """Answer one query spec through the (guarded) scalar methods."""
+        """Answer one query spec through the scalar methods."""
         if spec.kind == "strq":
             return self.strq(spec.x, spec.y, spec.t)
         if spec.kind == "tpq":

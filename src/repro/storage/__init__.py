@@ -9,7 +9,8 @@ processes load and answer queries with bit-identical results.
   version, CRC-checked section table, typed little-endian primitives.
 * :mod:`repro.storage.io` -- per-component serializers plus the public
   :func:`save_model` / :func:`load_model` / :func:`inspect_model` entry
-  points.
+  points, and the :class:`LoadReport` a load attaches to the system it
+  returns (what a salvage load rebuilt or dropped).
 
 The on-disk layout is specified in ``docs/ARTIFACT_FORMAT.md``; no pickle
 is used anywhere.
@@ -24,13 +25,22 @@ from repro.storage.format import (
     ArtifactVersionError,
     SectionInfo,
 )
-from repro.storage.io import ArtifactInfo, inspect_model, load_model, save_model
+from repro.storage.io import (
+    ArtifactInfo,
+    LoadReport,
+    SectionOutcome,
+    inspect_model,
+    load_model,
+    save_model,
+)
 
 __all__ = [
     "save_model",
     "load_model",
     "inspect_model",
     "ArtifactInfo",
+    "LoadReport",
+    "SectionOutcome",
     "SectionInfo",
     "ArtifactError",
     "ArtifactFormatError",

@@ -344,16 +344,16 @@ def _parse_table(blob: bytes, strict: bool = True) -> tuple[int, list[SectionInf
     return version, sections
 
 
-def unpack_artifact(blob: bytes, verify: bool = True) -> tuple[int, dict[str, bytes]]:
+def unpack_artifact(blob: bytes) -> tuple[int, dict[str, bytes]]:
     """Split an artifact blob into its named section payloads.
+
+    Every section's CRC32 is checked; a mismatch raises
+    :class:`ArtifactChecksumError`.
 
     Parameters
     ----------
     blob:
         The full artifact file contents.
-    verify:
-        When true (the default), every section's CRC32 is checked and a
-        mismatch raises :class:`ArtifactChecksumError`.
 
     Returns
     -------
@@ -364,16 +364,15 @@ def unpack_artifact(blob: bytes, verify: bool = True) -> tuple[int, dict[str, by
     ------
     ArtifactFormatError, ArtifactVersionError, ArtifactChecksumError
         See :func:`_parse_table`; additionally a per-section checksum
-        mismatch when ``verify`` is true.
+        mismatch.
     """
     version, infos = _parse_table(blob)
-    if verify:
-        bad = [info.name for info in infos if not info.crc_ok]
-        if bad:
-            raise ArtifactChecksumError(
-                f"checksum mismatch in section(s) {', '.join(sorted(bad))}: "
-                "the artifact is corrupt"
-            )
+    bad = [info.name for info in infos if not info.crc_ok]
+    if bad:
+        raise ArtifactChecksumError(
+            f"checksum mismatch in section(s) {', '.join(sorted(bad))}: "
+            "the artifact is corrupt"
+        )
     return version, {info.name: blob[info.offset:info.offset + info.length] for info in infos}
 
 
@@ -388,19 +387,6 @@ def inspect_artifact(blob: bytes, strict: bool = True) -> tuple[int, list[Sectio
     what salvage loads use.
     """
     return _parse_table(blob, strict=strict)
-
-
-def read_artifact_file(path: str | Path, verify: bool = True) -> tuple[int, dict[str, bytes]]:
-    """Read and :func:`unpack_artifact` a file.
-
-    Raises
-    ------
-    OSError
-        If the file cannot be read.
-    ArtifactError
-        If the contents are not a valid artifact.
-    """
-    return unpack_artifact(Path(path).read_bytes(), verify=verify)
 
 
 def write_artifact_file(path: str | Path, sections: list[tuple[str, bytes]]) -> Path:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +43,6 @@ from repro.index.idcodec import CompressedIdList
 from repro.index.pi import PartitionIndex
 from repro.index.rectangles import Rect
 from repro.index.tpi import TemporalPartitionIndex, TimePeriod
-from repro.reliability import faults as _faults
-from repro.reliability.salvage import LoadReport
 from repro.storage.format import (
     FORMAT_VERSION,
     ArtifactChecksumError,
@@ -412,35 +410,98 @@ def _decode_codebook(payload: bytes) -> Codebook:
     return codebook
 
 
-def _read_section(payloads: dict[str, bytes], name: str) -> bytes:
-    """Fetch one section payload; the ``storage.section_read`` fault point."""
-    if _faults.ACTIVE is not None:
-        _faults.ACTIVE.check("storage.section_read", key=name)
-    return payloads[name]
-
-
 #: Sections that cannot be rebuilt from other sections.  When one of these
 #: is damaged there is no model, so even ``strict=False`` loads raise.
 _NON_DERIVABLE_SECTIONS = (SECTION_CONFIG, SECTION_CODEBOOK, SECTION_RECORDS)
 
 
-def load_model(path: str | Path, verify: bool = True, strict: bool = True):
+@dataclass(frozen=True)
+class SectionOutcome:
+    """Fate of one artifact section during a load.
+
+    ``status`` is ``ok`` (decoded normally), ``rebuilt`` (the stored copy
+    was unusable but the section is derivable, so nothing was lost) or
+    ``dropped`` (non-derivable and damaged: the raw-data section).
+    """
+
+    name: str
+    status: str
+    detail: str = ""
+
+
+@dataclass
+class LoadReport:
+    """What a load found, rebuilt and lost.
+
+    Attributes
+    ----------
+    path:
+        Artifact file the report describes.
+    strict:
+        Whether the load ran in strict mode (a strict load that succeeds
+        reports every section ``ok``).
+    sections:
+        Per-section outcomes in artifact order.
+    lost:
+        Capabilities that are unavailable after the load (e.g.
+        ``"exact queries"`` when the raw-data section was dropped).
+    """
+
+    path: str
+    strict: bool = True
+    sections: list[SectionOutcome] = field(default_factory=list)
+    lost: list[str] = field(default_factory=list)
+
+    def record(self, name: str, status: str, detail: str = "") -> None:
+        """Append one section outcome."""
+        self.sections.append(SectionOutcome(name=name, status=status, detail=detail))
+
+    def mark_lost(self, capability: str) -> None:
+        """Register a capability as unavailable after this load."""
+        if capability not in self.lost:
+            self.lost.append(capability)
+
+    @property
+    def clean(self) -> bool:
+        """True when every section decoded normally and nothing was lost."""
+        return not self.lost and all(s.status == "ok" for s in self.sections)
+
+    @property
+    def rebuilt(self) -> list[str]:
+        """Names of sections that were rebuilt from derivable state."""
+        return [s.name for s in self.sections if s.status == "rebuilt"]
+
+    @property
+    def dropped(self) -> list[str]:
+        """Names of sections that were dropped."""
+        return [s.name for s in self.sections if s.status == "dropped"]
+
+    def lines(self) -> list[str]:
+        """Human-readable one-line-per-section summary (CLI output)."""
+        out = []
+        for section in self.sections:
+            line = f"{section.name}: {section.status}"
+            if section.detail:
+                line += f" ({section.detail})"
+            out.append(line)
+        if self.lost:
+            out.append("lost capabilities: " + ", ".join(self.lost))
+        return out
+
+
+def load_model(path: str | Path, strict: bool = True):
     """Load a model artifact into a query-ready ``PPQTrajectory``.
 
     The returned system answers STRQ/TPQ (and, when the artifact has a
     ``RAWDATA`` section, exact-match) queries -- scalar or batched --
     identically to the system that was saved, without refitting: the
     summary, codebook, reconstructions and the full TPI are restored from
-    the artifact.
+    the artifact.  Every section's CRC32 is checked before it is decoded.
 
     Parameters
     ----------
     path:
         An artifact produced by :func:`save_model`.
-    verify:
-        When true (the default), every section's CRC32 is verified before
-        decoding (strict mode only; non-strict loads always consult the
-        checksums to decide what to salvage).
     strict:
         When true (the default), any damage raises.  With ``strict=False``
         the loader salvages what it can: the config, codebook and summary
@@ -449,11 +510,10 @@ def load_model(path: str | Path, verify: bool = True, strict: bool = True):
         records (:meth:`~repro.core.summary.TrajectorySummary.replay`), a
         damaged index is rebuilt from the summary's reconstructions, and a
         damaged raw-data section is dropped with a ``RuntimeWarning``
-        (disabling exact-match queries).  The resulting
-        system's ``load_report`` (a
-        :class:`~repro.reliability.salvage.LoadReport`) lists every
-        section's fate; rebuilt sections are bit-identical to the originals
-        because both are deterministic functions of the summary.
+        (disabling exact-match queries).  The resulting system's
+        ``load_report`` (a :class:`LoadReport`) lists every section's fate;
+        rebuilt sections are bit-identical to the originals because both
+        are deterministic functions of the summary.
 
     Returns
     -------
@@ -472,8 +532,8 @@ def load_model(path: str | Path, verify: bool = True, strict: bool = True):
         If the artifact was written by a newer format version.
     ArtifactChecksumError
         If a checksum mismatch affects a section the load cannot proceed
-        without (any section in strict mode with ``verify=True``; the
-        config/codebook/records sections in non-strict mode).
+        without (any section in strict mode; the config/codebook/records
+        sections in non-strict mode).
     """
     from repro.core.pipeline import PPQTrajectory
     from repro.queries.engine import QueryEngine
@@ -483,8 +543,7 @@ def load_model(path: str | Path, verify: bool = True, strict: bool = True):
     report = LoadReport(path=str(path), strict=strict)
 
     if strict:
-        _version, payloads = unpack_artifact(blob, verify=verify)
-        crc_ok = dict.fromkeys(payloads, True)
+        _version, payloads = unpack_artifact(blob)
         missing = [name for name in _REQUIRED_SECTIONS if name not in payloads]
         if missing:
             raise ArtifactFormatError(
@@ -506,7 +565,7 @@ def load_model(path: str | Path, verify: bool = True, strict: bool = True):
                 "rebuilt from other sections"
             )
 
-    config = _decode_config(_read_section(payloads, SECTION_CONFIG))
+    config = _decode_config(payloads[SECTION_CONFIG])
     ppq_config = PPQConfig(**config["ppq"])
     cqc_config = CQCConfig(**config["cqc"])
     index_config = IndexConfig(**config["index"])
@@ -514,23 +573,23 @@ def load_model(path: str | Path, verify: bool = True, strict: bool = True):
                            index_config=index_config, variant=config["variant"])
     report.record(SECTION_CONFIG, "ok")
 
-    codebook = _decode_codebook(_read_section(payloads, SECTION_CODEBOOK))
+    codebook = _decode_codebook(payloads[SECTION_CODEBOOK])
     report.record(SECTION_CODEBOOK, "ok")
     cqc_coder = None
     if cqc_config.enabled:
         cqc_coder = CQCCoder(epsilon=ppq_config.epsilon1, grid_size=cqc_config.grid_size)
     summary = TrajectorySummary(ppq_config, cqc_config, codebook, cqc_coder)
-    _decode_records(_read_section(payloads, SECTION_RECORDS), summary)
+    _decode_records(payloads[SECTION_RECORDS], summary)
     report.record(SECTION_RECORDS, "ok")
 
     if strict:
-        _decode_reconstructions(_read_section(payloads, SECTION_RECON), summary)
+        _decode_reconstructions(payloads[SECTION_RECON], summary)
         report.record(SECTION_RECON, "ok")
-        index = _decode_index(_read_section(payloads, SECTION_INDEX), index_config)
+        index = _decode_index(payloads[SECTION_INDEX], index_config)
         report.record(SECTION_INDEX, "ok")
         raw_dataset = None
         if SECTION_RAWDATA in payloads:
-            raw_dataset = _decode_dataset(_read_section(payloads, SECTION_RAWDATA))
+            raw_dataset = _decode_dataset(payloads[SECTION_RAWDATA])
             report.record(SECTION_RAWDATA, "ok")
     else:
         index, raw_dataset = _salvage_sections(
@@ -558,7 +617,7 @@ def _salvage_sections(payloads: dict[str, bytes], crc_ok: dict[str, bool],
     """
     if SECTION_RECON in payloads and crc_ok[SECTION_RECON]:
         try:
-            _decode_reconstructions(_read_section(payloads, SECTION_RECON), summary)
+            _decode_reconstructions(payloads[SECTION_RECON], summary)
             report.record(SECTION_RECON, "ok")
         except Exception as exc:  # noqa: BLE001 - any decode failure is salvageable
             summary.replay()
@@ -572,7 +631,7 @@ def _salvage_sections(payloads: dict[str, bytes], crc_ok: dict[str, bool],
     index = None
     if SECTION_INDEX in payloads and crc_ok[SECTION_INDEX]:
         try:
-            index = _decode_index(_read_section(payloads, SECTION_INDEX), index_config)
+            index = _decode_index(payloads[SECTION_INDEX], index_config)
             report.record(SECTION_INDEX, "ok")
         except Exception as exc:  # noqa: BLE001 - any decode failure is salvageable
             index = None
@@ -587,7 +646,7 @@ def _salvage_sections(payloads: dict[str, bytes], crc_ok: dict[str, bool],
     if SECTION_RAWDATA in payloads:
         if crc_ok[SECTION_RAWDATA]:
             try:
-                raw_dataset = _decode_dataset(_read_section(payloads, SECTION_RAWDATA))
+                raw_dataset = _decode_dataset(payloads[SECTION_RAWDATA])
                 report.record(SECTION_RAWDATA, "ok")
             except Exception as exc:  # noqa: BLE001 - dropping raw data is safe
                 report.record(SECTION_RAWDATA, "dropped", f"decode failed ({exc})")
@@ -667,5 +726,7 @@ __all__ = [
     "load_model",
     "inspect_model",
     "ArtifactInfo",
+    "LoadReport",
+    "SectionOutcome",
     "FORMAT_VERSION",
 ]

@@ -8,8 +8,6 @@ that index sizes and compression ratios can be measured faithfully.
 
 from __future__ import annotations
 
-from repro.reliability import faults as _faults
-
 
 class BitWriter:
     """Accumulates bits most-significant-bit first and renders them to bytes.
@@ -112,15 +110,13 @@ def pack_uint(value: int, bit_length: int) -> bytes:
 def read_uint(data: bytes, bit_length: int) -> int:
     """The first ``bit_length`` bits of ``data`` as one unsigned integer.
 
-    This opens a whole stream at once, so the ``bitio.read`` fault point is
-    checked once per stream (keyed by ``bit_length``), not once per bit.
-    Raises ``EOFError`` when ``data`` holds fewer than ``bit_length`` bits.
+    This reads a whole stream at once, with one integer conversion instead
+    of one step per bit.  Raises ``EOFError`` when ``data`` holds fewer than
+    ``bit_length`` bits.
 
     >>> read_uint(b'\\xb0', 4) == 0b1011
     True
     """
-    if _faults.ACTIVE is not None:
-        _faults.ACTIVE.check("bitio.read", key=bit_length)
     spare = 8 * len(data) - bit_length
     if spare < 0:
         raise EOFError(f"bit stream holds {8 * len(data)} bits, {bit_length} requested")
@@ -128,15 +124,9 @@ def read_uint(data: bytes, bit_length: int) -> int:
 
 
 class BitReader:
-    """Reads bits most-significant-bit first from bytes or a bit string.
-
-    The ``bitio.read`` fault point is checked once per stream, when the
-    reader is created.
-    """
+    """Reads bits most-significant-bit first from bytes or a bit string."""
 
     def __init__(self, data: bytes | str, bit_length: int | None = None) -> None:
-        if _faults.ACTIVE is not None:
-            _faults.ACTIVE.check("bitio.read", key=bit_length)
         if isinstance(data, str):
             self._bits = [1 if ch == "1" else 0 for ch in data]
         else:

@@ -20,7 +20,6 @@ import weakref
 from collections import Counter
 from collections.abc import Iterable, Sequence
 
-from repro.reliability import faults as _faults
 from repro.utils.bitio import pack_uint, read_uint
 
 #: Code-length table -> the live shared codec for it (see ``HuffmanCodec._shared``).
@@ -168,8 +167,6 @@ class HuffmanCodec:
         Raises ``EOFError`` when ``payload`` is shorter than ``bit_length``
         bits and ``ValueError`` when the bits are not a sequence of codes.
         """
-        if _faults.ACTIVE is not None:
-            _faults.ACTIVE.check("huffman.decode", key=bit_length)
         value = read_uint(payload, bit_length)
         symbols, steps = self._symbols, self._steps
         out: list = []

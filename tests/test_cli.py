@@ -96,7 +96,7 @@ class TestCommands:
 
 @pytest.fixture(scope="module")
 def saved_model(tmp_path_factory):
-    """A small saved artifact shared by the exit-code and chaos tests."""
+    """A small saved artifact shared by the exit-code tests."""
     path = tmp_path_factory.mktemp("cli") / "model.ppq"
     code = main(["save", "--synthetic", "porto", "--trajectories", "8",
                  "--seed", "3", "--output", str(path)])
@@ -127,6 +127,11 @@ class TestExitCodes:
         bad = tmp_path / "corrupt.ppq"
         bad.write_bytes(bytes(blob))
 
+        # info prints the whole section table, then fails like a strict load.
+        assert main(["info", str(bad)]) == EXIT_ARTIFACT
+        captured = capsys.readouterr()
+        assert "crc=CORRUPT" in captured.out and "checksums           : FAILED" in captured.out
+        assert captured.err.startswith("error: artifact") and "INDEX" in captured.err
         assert main(["load", str(bad)]) == EXIT_ARTIFACT
         capsys.readouterr()
         assert main(["load", "--no-strict", str(bad)]) == 0
@@ -198,29 +203,37 @@ class TestExitCodes:
         assert "0 queries" in capsys.readouterr().out
 
 
-class TestChaos:
-    def test_chaos_requires_a_source(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["chaos"])
+class TestDatasetSourceErrors:
+    """A source that cannot be loaded or holds no trajectories fails with a
+    one-line error and exit code 2 instead of a traceback or an empty fit."""
 
-    def test_chaos_rejects_unknown_fault_point(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["chaos", "--synthetic", "porto",
-                                       "--fault-points", "bogus.point"])
-
-    def test_chaos_degrade_is_equivalent(self, saved_model, capsys):
-        code = main(["chaos", "--model", str(saved_model), "--queries", "8",
-                     "--fault-points", "index.cell_decode", "--fault-seed", "5"])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "fault seed          : 5" in out
-        assert "equivalence         : ok" in out
-        assert "query errors        : 0" in out
-
-    def test_chaos_fail_fast_surfaces_errors(self, saved_model, capsys):
-        code = main(["chaos", "--model", str(saved_model), "--queries", "4",
-                     "--mode", "fail-fast"])
+    @pytest.mark.parametrize("command", ["compress", "save", "query"])
+    @pytest.mark.parametrize("flag, name, message", [
+        ("--porto-csv", "missing.csv", "cannot load dataset"),
+        ("--geolife-dir", "nowhere", "cannot load dataset"),
+        ("--geolife-dir", "empty", "holds no trajectories"),
+    ], ids=["missing-csv", "missing-dir", "empty-dir"])
+    def test_unusable_source(self, command, flag, name, message, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        argv = [command, flag, str(tmp_path / name), *_command_tail(command, tmp_path)]
+        assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert code == EXIT_QUERY
-        assert "FAILED" in captured.out
-        assert "not equivalent" in captured.err
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert name in captured.err and len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+        assert not (tmp_path / "model.ppq").exists()
+
+    def test_malformed_porto_csv(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("A,B\n1,2\n", encoding="utf-8")
+        assert main(["compress", "--porto-csv", str(bad)]) == EXIT_USAGE
+        assert "POLYLINE" in capsys.readouterr().err
+
+
+def _command_tail(command: str, tmp_path) -> list[str]:
+    """The flags ``command`` needs besides its dataset source."""
+    if command == "save":
+        return ["--output", str(tmp_path / "model.ppq")]
+    if command == "query":
+        return ["--x", "0", "--y", "0", "--t", "0"]
+    return []

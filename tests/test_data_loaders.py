@@ -66,6 +66,10 @@ class TestPortoLoader:
         with pytest.raises(ValueError):
             load_porto_csv(str(path))
 
+    def test_missing_file_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_porto_csv(str(tmp_path / "missing.csv"))
+
     def test_malformed_polyline_raises(self, tmp_path):
         path = tmp_path / "bad2.csv"
         path.write_text('POLYLINE\n"[[-8.6, 41.1], [-8.6"\n', encoding="utf-8")
@@ -89,6 +93,18 @@ class TestGeoLifeLoader:
     def test_max_trajectories_cap(self, plt_directory):
         dataset = load_plt_directory(str(plt_directory), min_length=1, max_trajectories=1)
         assert len(dataset) == 1
+
+    def test_missing_root_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="does not exist"):
+            load_plt_directory(str(tmp_path / "nowhere"))
+
+    def test_file_root_raises(self, plt_directory):
+        plt_file = next(plt_directory.rglob("*.plt"))
+        with pytest.raises(NotADirectoryError, match="not a directory"):
+            load_plt_directory(str(plt_file))
+
+    def test_empty_directory_yields_empty_dataset(self, tmp_path):
+        assert len(load_plt_directory(str(tmp_path))) == 0
 
 
 class TestChunking:

@@ -10,7 +10,11 @@ workloads, the guarantees the system's correctness rests on:
 * Lemma 3 -- the CQC-refined reconstruction error never exceeds
   ``sqrt(2)/2 * g_s``;
 * Section 5.2 -- STRQ with local search has recall 1 against the ground truth
-  of Definition 5.2.
+  of Definition 5.2;
+* the TPI posts every reconstructed point, and only those: per time period,
+  the union over the period's grids of each cell's posting list is the set of
+  trajectories whose reconstruction at some timestamp of the period lies in
+  that cell.
 
 Workloads are smooth random walks that all start at ``t = 0``, or the same
 walks on adversarial timelines: time gaps, late starts, single-point
@@ -150,3 +154,34 @@ def test_strq_local_search_recall_is_one(dataset, seed):
         truth = ground_truth_cell_members(dataset, x, y, t, cell)
         _, recall = precision_recall(result.candidates, truth)
         assert recall == pytest.approx(1.0)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dataset=workload)
+def test_period_postings_equal_brute_force_cells(dataset):
+    """Per TPI period, the union over its grids of each cell's postings is the
+    set of trajectories with a reconstruction in that cell during the period.
+
+    A single grid can miss IDs: a rectangle appended mid-period also covers
+    points of earlier timestamps that were never inserted into it.  So the
+    invariant holds for the union, not grid by grid.
+    """
+    system = PPQTrajectory.ppq_s().fit(dataset)
+    summary, cell_size = system.summary, system.index_config.grid_cell
+    periods = system.engine.index.periods
+    assert periods
+    for period in periods:
+        stored: dict[tuple[int, int], set[int]] = {}
+        for grid in period.index.grids:
+            assert grid.cell_size == cell_size
+            for cell, ids in grid.decoded_postings().items():
+                stored.setdefault(cell, set()).update(ids)
+        expected: dict[tuple[int, int], set[int]] = {}
+        for t in range(period.start, period.end + 1):
+            points = summary.reconstruct_slice(t)
+            if not points:
+                continue
+            cells = np.floor(np.vstack(list(points.values())) / cell_size).astype(np.int64)
+            for tid, (cx, cy) in zip(points, cells.tolist()):
+                expected.setdefault((cx, cy), set()).add(int(tid))
+        assert stored == expected, (period.start, period.end)

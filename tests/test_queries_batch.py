@@ -4,8 +4,8 @@ The contract of :mod:`repro.queries.batch` is exact equivalence: a batched
 call must return, query by query, the same results as running the scalar
 query functions in a loop.  These tests enforce that on randomized
 workloads (including off-trajectory probes and timestamps outside the
-stream) and cover the workload spec parsing and the LRU reconstruction
-cache.
+stream) and cover the workload spec parsing, per-query error isolation and
+the LRU reconstruction cache.
 """
 
 import json
@@ -22,10 +22,11 @@ from repro.queries.batch import (
     batch_strq,
     batch_tpq,
 )
-from repro.queries.engine import QueryEngine
+import repro.queries.engine as engine_module
+from repro.queries.engine import QueryEngine, QueryError
 from repro.queries.exact import exact_match_query
 from repro.queries.strq import spatio_temporal_range_query
-from repro.queries.tpq import trajectory_path_query
+from repro.queries.tpq import TPQResult, trajectory_path_query
 
 
 def random_probes(dataset, num, seed, jitter=0.0):
@@ -174,6 +175,71 @@ class TestRunBatch:
     def test_unsupported_entry_rejected(self, engine):
         with pytest.raises(TypeError):
             engine.run_batch([("strq", 0.0, 0.0, 0)])
+
+
+class TestBatchIsolation:
+    """``run_batch(isolate=True)``: a failing query gets a :class:`QueryError`
+    in its own result slot and every other query is still answered."""
+
+    def test_exact_without_raw_raises_unless_isolated(self, engine, porto_small):
+        detached = QueryEngine(engine.summary, engine.index_config, raw_dataset=None,
+                               index=engine.index)
+        x, y, t = random_probes(porto_small, 1, seed=12)[0]
+        workload = Workload.from_obj([
+            {"type": "strq", "x": x, "y": y, "t": t},
+            {"type": "exact", "x": x, "y": y, "t": t},
+        ])
+        with pytest.raises(RuntimeError, match="raw dataset"):
+            detached.run_batch(workload)
+        results = detached.run_batch(workload, isolate=True)
+        assert not isinstance(results[0], QueryError)
+        assert isinstance(results[1], QueryError)
+        assert results[1].index == 1
+        assert results[1].kind == "exact"
+        assert results[1].error_type == "RuntimeError"
+        assert "raw dataset" in results[1].message
+
+    def test_isolated_errors_keep_positions_aligned(self, engine, porto_small, monkeypatch):
+        """TPQs at chosen positions raise: their slots hold the errors, and
+        the other TPQs and the STRQs answer as they do unpatched."""
+        probes = random_probes(porto_small, 10, seed=13)
+        assert len(set(probes)) == len(probes)
+        workload = Workload.from_obj(
+            [{"type": ("strq", "tpq")[i % 2], "x": x, "y": y, "t": t, "length": 6}
+             for i, (x, y, t) in enumerate(probes)])
+        expected = engine.run_batch(workload)
+        failing = {3, 7}
+        poisoned = {probes[i] for i in failing}
+
+        def batch_fails(*_args, **_kwargs):
+            raise ValueError("batched TPQ pass failed")
+
+        scalar_tpq = engine_module.trajectory_path_query
+
+        def scalar_fails_on_poisoned(index, summary, x, y, t, length, **kwargs):
+            if (x, y, t) in poisoned:
+                raise ValueError(f"poisoned TPQ at t={t}")
+            return scalar_tpq(index, summary, x, y, t, length, **kwargs)
+
+        monkeypatch.setattr(engine_module, "batch_tpq", batch_fails)
+        monkeypatch.setattr(engine_module, "trajectory_path_query", scalar_fails_on_poisoned)
+        with pytest.raises(ValueError, match="batched TPQ pass failed"):
+            engine.run_batch(workload)
+        results = engine.run_batch(workload, isolate=True)
+
+        assert len(results) == len(probes)
+        errors = [r for r in results if isinstance(r, QueryError)]
+        assert {err.index for err in errors} == failing
+        for position, (want, got) in enumerate(zip(expected, results)):
+            if position in failing:
+                assert got.kind == "tpq" and got.error_type == "ValueError"
+                assert "poisoned TPQ" in got.message
+            elif isinstance(want, TPQResult):
+                assert sorted(got.paths) == sorted(want.paths)
+                for tid, path in want.paths.items():
+                    assert np.array_equal(got.paths[tid], path)
+            else:
+                assert got.candidates == want.candidates
 
 
 class TestWorkloadSpec:

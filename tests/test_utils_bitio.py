@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.reliability import FaultPlan, inject_faults
 from repro.utils.bitio import BitReader, BitWriter, pack_uint, read_uint
 
 
@@ -130,9 +129,3 @@ class TestWholeStream:
     def test_read_beyond_payload_raises_eof(self):
         with pytest.raises(EOFError):
             read_uint(b"\x00", 9)
-
-    def test_fault_point_checked_once_per_stream(self):
-        with inject_faults(FaultPlan().add("bitio.read", probability=0.0)) as injector:
-            read_uint(b"\xff\xff", 16)
-            BitReader(b"\xff\xff").read_bits(16)
-        assert injector.checked == {"bitio.read": 2}

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from repro import PPQTrajectory
 from repro.data.synthetic import generate_porto_like
-from repro.index.grid import GridIndex, PostingDecodeError
+from repro.index.grid import GridIndex
 from repro.index.idcodec import CompressedIdList, compress_ids
 from repro.index.rectangles import Rect
 from repro.utils import huffman
@@ -123,8 +123,8 @@ class TestEncodeDecode:
 
 
 class TestDecodeErrors:
-    """Corrupt streams raise what ``GridIndex._decode_cell`` turns into
-    :class:`PostingDecodeError`."""
+    """Corrupt streams raise ``ValueError`` or ``EOFError``, and a grid cell
+    holding one raises the same from its lookup."""
 
     @pytest.mark.parametrize("lengths, payload, bit_length", [
         ({"a": 1, "b": 2, "c": 2}, b"\x80", 1),   # "1": ends inside "10"/"11"
@@ -136,10 +136,10 @@ class TestDecodeErrors:
         with pytest.raises((ValueError, EOFError)):
             codec.decode(payload, bit_length)
         grid = GridIndex(Rect(0.0, 0.0, 1.0, 1.0), cell_size=1.0)
-        compressed = CompressedIdList(payload=payload, bit_length=bit_length, first_id=0,
-                                      count=1, codec=codec)
-        with pytest.raises(PostingDecodeError):
-            grid._decode_cell((0, 0), compressed)
+        grid._cells[(0, 0)] = CompressedIdList(payload=payload, bit_length=bit_length,
+                                               first_id=0, count=1, codec=codec)
+        with pytest.raises((ValueError, EOFError)):
+            grid.ids_in_cell((0, 0))
 
 
 class TestSharedCodecs:
