@@ -32,7 +32,7 @@ from repro.core.ppq import PartitionwisePredictiveQuantizer
 from repro.core.summary import TrajectorySummary
 from repro.queries.engine import QueryEngine, QueryError
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 from repro.storage import LoadReport, inspect_model, load_model, save_model  # noqa: E402
 

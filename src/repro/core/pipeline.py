@@ -92,7 +92,15 @@ class PPQTrajectory:
 
     def fit(self, dataset: TrajectoryDataset, t_max: int | None = None,
             build_index: bool = True) -> "PPQTrajectory":
-        """Summarise ``dataset`` and (optionally) build the query index."""
+        """Summarise ``dataset`` and (optionally) build the query index.
+
+        Raises ``ValueError`` when the dataset holds no point at or before
+        ``t_max`` (no point at all when ``t_max`` is ``None``).
+        """
+        timestamps = dataset.timestamps
+        if not timestamps or (t_max is not None and timestamps[0] > t_max):
+            bound = "" if t_max is None else f" at or before t_max={t_max}"
+            raise ValueError(f"cannot fit a dataset with no points{bound}")
         self._dataset = dataset
         self.summary = self.quantizer.summarize(dataset, t_max=t_max)
         if build_index:

@@ -3,9 +3,10 @@
 * :mod:`repro.index.rectangles` -- minimum bounding rectangles and the
   overlap-removal step that turns overlapping partition rectangles into a
   disjoint set (Algorithm 3, lines 6-8).
-* :mod:`repro.index.grid` -- the per-rectangle grid index with compressed
-  trajectory-ID lists per cell.
-* :mod:`repro.index.idcodec` -- delta + Huffman compression of ID lists.
+* :mod:`repro.index.grid` -- the per-rectangle grid index with a sorted
+  trajectory-ID list per cell.
+* :mod:`repro.index.idcodec` -- delta + Huffman compression of ID lists, used
+  to account the paper's index size.
 * :mod:`repro.index.pi` -- the partition-based index (PI) built for one
   timestamp (Algorithm 3).
 * :mod:`repro.index.tpi` -- the temporal partition-based index (TPI) that

@@ -1,11 +1,14 @@
-"""Per-rectangle grid index with compressed trajectory-ID posting lists.
+"""Per-rectangle grid index with trajectory-ID posting lists.
 
 Each rectangle of the partition index is covered by a uniform grid of cells
 of side ``g_c`` (Algorithm 3, line 11).  Every trajectory point falling inside
-the rectangle is mapped to its cell and its trajectory ID is appended to the
-cell's posting list, which is stored delta+Huffman compressed
-(:mod:`repro.index.idcodec`).  A PI's rectangles start out disjoint, but
-those a TPI insertion appends may overlap older ones
+the rectangle is mapped to its cell and its trajectory ID is added to the
+cell's posting list, a sorted tuple of IDs.  The paper stores each list
+delta+Huffman compressed (Section 5.1); here that is accounting only:
+:meth:`GridIndex.storage_bits` charges every list at its
+:mod:`repro.index.idcodec` size, while memory and the model artifact hold
+the plain IDs.  A PI's rectangles start out disjoint, but those a TPI
+insertion appends may overlap older ones
 (:meth:`~repro.index.tpi.TemporalPartitionIndex.insert_slice`); a point
 inside several rectangles is posted in each of their grids.
 
@@ -22,8 +25,12 @@ import math
 
 import numpy as np
 
-from repro.index.idcodec import CompressedIdList, compress_ids, decompress_ids
+from repro.index.idcodec import compress_ids
 from repro.index.rectangles import Rect
+
+#: Paper bits of a one-ID posting list: a 1-bit code, a one-entry code table
+#: and the 32-bit base ID and count (102 bits).  96-99.9% of cells hold one ID.
+_ONE_ID_BITS = compress_ids((0,)).storage_bits
 
 
 def encode_cells(cells: np.ndarray) -> np.ndarray:
@@ -46,24 +53,22 @@ class GridIndex:
         The rectangle covered by this grid.
     cell_size:
         Grid cell side length ``g_c``.
+    postings:
+        Initial cell -> sorted ID tuple map (a restored index); it is kept,
+        not copied.
     """
 
-    def __init__(self, rect: Rect, cell_size: float) -> None:
+    def __init__(self, rect: Rect, cell_size: float,
+                 postings: dict[tuple[int, int], tuple[int, ...]] | None = None) -> None:
         if cell_size <= 0:
             raise ValueError("cell_size must be > 0")
         self.rect = rect
         self.cell_size = float(cell_size)
         self.num_cells_x = max(1, int(math.ceil(rect.width / self.cell_size)))
         self.num_cells_y = max(1, int(math.ceil(rect.height / self.cell_size)))
-        # Cell -> compressed posting list.  Cells without points are absent.
-        self._cells: dict[tuple[int, int], CompressedIdList] = {}
-        # Staging area used while the index is being populated.
-        self._staging: dict[tuple[int, int], set[int]] = {}
-        # Lazily decoded posting lists (cell -> tuple of IDs).  Queries pay
-        # the Huffman decode of a cell at most once between inserts; the
-        # cache is derivable from the compressed lists, so it is not charged
-        # to the index's storage accounting.
-        self._decoded: dict[tuple[int, int], tuple[int, ...]] = {}
+        # Cell -> sorted tuple of trajectory IDs.  Cells without points are absent.
+        self._postings: dict[tuple[int, int], tuple[int, ...]] = (
+            {} if postings is None else postings)
         # Sorted encoded-cell lookup table for the batched query path
         # (built lazily by encoded_table, invalidated on insert).
         self._table: tuple[np.ndarray, list[tuple[int, ...]]] | None = None
@@ -88,22 +93,16 @@ class GridIndex:
         if inside is None:
             inside = self.rect.contains_points(points)
         cells = self.cells_of(points[inside]).tolist()
+        touched: dict[tuple[int, int], set[int]] = {}
         for tid, (cx, cy) in zip(traj_ids[inside].tolist(), cells):
-            self._staging.setdefault((cx, cy), set()).add(tid)
+            touched.setdefault((cx, cy), set()).add(tid)
+        postings = self._postings
+        for cell, ids in touched.items():
+            ids.update(postings.get(cell, ()))
+            postings[cell] = tuple(sorted(ids))
         if cells:
-            self._flush()
+            self._table = None
         return len(cells)
-
-    def _flush(self) -> None:
-        """Re-compress the posting lists of cells touched since the last flush."""
-        for cell, ids in self._staging.items():
-            existing = self._cells.get(cell)
-            if existing is not None:
-                ids.update(decompress_ids(existing))
-            self._cells[cell] = compress_ids(ids)
-            self._decoded.pop(cell, None)
-        self._table = None
-        self._staging.clear()
 
     # ------------------------------------------------------------------ #
     # lookup
@@ -122,45 +121,29 @@ class GridIndex:
         return np.floor(points / self.cell_size).astype(np.int64)
 
     def ids_in_cell(self, cell: tuple[int, int]) -> list[int]:
-        """Trajectory IDs stored in one grid cell (empty list if none).
+        """Trajectory IDs stored in one grid cell (empty list if none)."""
+        return list(self._postings.get(cell, ()))
 
-        A posting list that does not decode raises what the codec raises
-        (``ValueError`` or ``EOFError``).
+    def postings(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """The cell -> sorted ID tuple map.
+
+        Treat the returned mapping (and its tuples) as read-only; an insert
+        replaces the tuple of every cell it touches.
         """
-        decoded = self._decoded.get(cell)
-        if decoded is None:
-            compressed = self._cells.get(cell)
-            if compressed is None:
-                return []
-            self._decoded[cell] = decoded = tuple(decompress_ids(compressed))
-        return list(decoded)
-
-    def decoded_postings(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Decode every posting list once and return the cell -> IDs map.
-
-        The batched lookups read this map directly, turning per-query
-        posting-list decompression into one decode per cell per index
-        lifetime.  Treat the returned mapping (and its tuples) as read-only;
-        it is invalidated cell by cell on insert.
-        """
-        if len(self._decoded) < len(self._cells):
-            for cell, compressed in self._cells.items():
-                if cell not in self._decoded:
-                    self._decoded[cell] = tuple(decompress_ids(compressed))
-        return self._decoded
+        return self._postings
 
     def encoded_table(self) -> tuple[np.ndarray, list[tuple[int, ...]]]:
         """Sorted encoded-cell table for batched lookups.
 
         Returns ``(codes, postings)`` where ``codes`` is a sorted int64 array
         of :func:`encode_cells`-encoded non-empty cells and ``postings[i]``
-        is the decoded ID tuple of ``codes[i]``.  Batched lookups resolve all
+        is the ID tuple of ``codes[i]``.  Batched lookups resolve all
         candidate cells of all queries against this table with a single
         ``searchsorted`` per grid, instead of one dict probe per (query,
         cell) pair.  Rebuilt lazily after inserts.
         """
         if self._table is None:
-            postings = self.decoded_postings()
+            postings = self._postings
             cells = np.array(list(postings), dtype=np.int64).reshape(-1, 2)
             codes = encode_cells(cells)
             lists = list(postings.values())
@@ -190,21 +173,23 @@ class GridIndex:
     # ------------------------------------------------------------------ #
     @property
     def num_nonempty_cells(self) -> int:
-        return len(self._cells)
+        return len(self._postings)
 
     @property
     def num_indexed_ids(self) -> int:
         """Total number of (cell, trajectory) postings."""
-        return sum(cl.count for cl in self._cells.values())
+        return sum(map(len, self._postings.values()))
 
     def storage_bits(self) -> int:
-        """Storage footprint of the grid: cell keys + compressed posting lists."""
-        bits = 0
-        for compressed in self._cells.values():
+        """Paper footprint of the grid: cell keys + delta+Huffman posting lists.
+
+        Computed on demand from the ID tuples; a list of several IDs is
+        charged at :func:`~repro.index.idcodec.compress_ids`' size.
+        """
+        bits = 4 * 64 + 2 * 32  # rectangle bounds and grid metadata
+        for ids in self._postings.values():
             bits += 2 * 32  # cell coordinates
-            bits += compressed.storage_bits
-        # Rectangle bounds and grid metadata.
-        bits += 4 * 64 + 2 * 32
+            bits += _ONE_ID_BITS if len(ids) == 1 else compress_ids(ids).storage_bits
         return bits
 
     def density(self) -> float:

@@ -4,15 +4,14 @@ Every grid cell of the partition index stores the IDs of the trajectories
 mapped to it.  Following the paper (and the cited integer-compression work)
 the sorted ID list is delta encoded -- consecutive differences are small for
 dense cells -- and the deltas are entropy coded with a Huffman code fitted to
-each cell.  The compressed representation records exact bit counts so that
-index sizes reported by the experiments are byte-accurate.
+each cell.  The compressed representation records exact bit counts, and
+:attr:`CompressedIdList.storage_bits` charges each cell its own code-length
+table.
 
-Every cell keeps its own code-length table, and
-:attr:`CompressedIdList.storage_bits` charges that table to the cell.  In
-memory, though, cells with equal tables share one
-:class:`~repro.utils.huffman.HuffmanCodec`: a canonical code is fixed by its
-code lengths, and most cells hold a single ID, so an index of tens of
-thousands of cells uses a few dozen distinct codecs.
+The index does not store lists in this form: memory and the model artifact
+hold plain sorted ID tuples, and
+:meth:`~repro.index.grid.GridIndex.storage_bits` uses this codec to report
+the paper's size of each list.
 """
 
 from __future__ import annotations

@@ -8,7 +8,12 @@ Building a PI for the points of timestamp ``t``:
 3. remove overlaps against previously emitted rectangles, splitting the
    remainder into disjoint rectangles;
 4. build a grid index (cell ``g_c``) per rectangle and insert every point's
-   trajectory ID into its cell, with delta+Huffman compressed posting lists.
+   trajectory ID into its cell's posting list.
+
+The rectangles of a freshly built PI are disjoint.  A TPI insertion
+(:meth:`~repro.index.tpi.TemporalPartitionIndex.insert_slice`) appends the
+rectangles of a new PI built over the uncovered points, and those may overlap
+older ones.
 """
 
 from __future__ import annotations
@@ -31,14 +36,16 @@ _NEIGHBOR_OFFSETS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
 
 @dataclass
 class PartitionIndex:
-    """The PI of one timestamp: a list of disjoint grid-indexed rectangles.
+    """The PI of one timestamp: a list of grid-indexed rectangles.
 
     Attributes
     ----------
     t:
         Timestamp the PI was built for (the earliest one when reused by TPI).
     grids:
-        One :class:`~repro.index.grid.GridIndex` per disjoint rectangle.
+        One :class:`~repro.index.grid.GridIndex` per rectangle.  The
+        rectangles of one build are disjoint; those appended by a TPI
+        insertion (:meth:`append_grids`) may overlap earlier ones.
     config:
         The index configuration the PI was built with.
     baseline_density:

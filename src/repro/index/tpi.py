@@ -38,21 +38,15 @@ class TimePeriod:
 
 @dataclass
 class TPIStatistics:
-    """Counters reported by the dynamic-organization experiments (Tables 7/8)."""
+    """Counters reported by the dynamic-organization experiments (Tables 7/8).
 
-    num_periods: int = 0
+    ``build_seconds`` is measured by :meth:`TemporalPartitionIndex.build`;
+    an index restored from an artifact reports 0.0.
+    """
+
     num_rebuilds: int = 0
     num_insertions: int = 0
     build_seconds: float = 0.0
-    index_bits: int = 0
-
-    @property
-    def index_bytes(self) -> float:
-        return self.index_bits / 8.0
-
-    @property
-    def index_megabytes(self) -> float:
-        return self.index_bits / 8.0 / (1 << 20)
 
 
 class TemporalPartitionIndex:
@@ -87,8 +81,6 @@ class TemporalPartitionIndex:
                 continue
             self.insert_slice(slice_.t, slice_.traj_ids, slice_.points)
         self.stats.build_seconds = _time.perf_counter() - start_clock
-        self.stats.num_periods = len(self.periods)
-        self.stats.index_bits = self.storage_bits()
         return self
 
     def insert_slice(self, t: int, traj_ids: np.ndarray, points: np.ndarray) -> str:
@@ -253,7 +245,7 @@ class TemporalPartitionIndex:
         return len(self.periods)
 
     def storage_bits(self) -> int:
-        """Total index size in bits across all periods."""
+        """Paper-accounted index size in bits across all periods (on demand)."""
         bits = 0
         for period in self.periods:
             bits += period.index.storage_bits()

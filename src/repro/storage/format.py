@@ -34,7 +34,8 @@ import numpy as np
 MAGIC = b"PPQTRAJ\x01"
 
 #: Version of the *section contents*; readers must reject newer versions.
-FORMAT_VERSION = 1
+#: Version 2 stores INDEX as whole-index arrays (``docs/ARTIFACT_FORMAT.md``).
+FORMAT_VERSION = 2
 
 #: Fixed size of a section name in the table (ASCII, NUL padded).
 SECTION_NAME_LEN = 8
@@ -73,22 +74,13 @@ class ByteWriter:
 
     def __init__(self) -> None:
         self._chunks: list[bytes] = []
-        self._length = 0
-
-    def __len__(self) -> int:
-        return self._length
 
     def _append(self, data: bytes) -> None:
         self._chunks.append(data)
-        self._length += len(data)
 
     def u8(self, value: int) -> None:
         """Write an unsigned 8-bit integer."""
         self._append(struct.pack("<B", value))
-
-    def u32(self, value: int) -> None:
-        """Write an unsigned 32-bit integer."""
-        self._append(struct.pack("<I", value))
 
     def u64(self, value: int) -> None:
         """Write an unsigned 64-bit integer."""
@@ -98,22 +90,10 @@ class ByteWriter:
         """Write a signed 64-bit integer."""
         self._append(struct.pack("<q", value))
 
-    def f64(self, value: float) -> None:
-        """Write an IEEE-754 double."""
-        self._append(struct.pack("<d", value))
-
-    def raw(self, data: bytes) -> None:
-        """Write bytes verbatim (no length prefix)."""
-        self._append(bytes(data))
-
     def blob(self, data: bytes) -> None:
         """Write a ``u64`` length followed by the bytes."""
         self.u64(len(data))
         self._append(bytes(data))
-
-    def text(self, value: str) -> None:
-        """Write a UTF-8 string as a length-prefixed blob."""
-        self.blob(value.encode("utf-8"))
 
     def array(self, arr: np.ndarray) -> None:
         """Write a numpy array: dtype code, ndim, dims, then the raw buffer.
@@ -172,10 +152,6 @@ class ByteReader:
         """Read an unsigned 8-bit integer."""
         return struct.unpack("<B", self._take(1))[0]
 
-    def u32(self) -> int:
-        """Read an unsigned 32-bit integer."""
-        return struct.unpack("<I", self._take(4))[0]
-
     def u64(self) -> int:
         """Read an unsigned 64-bit integer."""
         return struct.unpack("<Q", self._take(8))[0]
@@ -184,17 +160,9 @@ class ByteReader:
         """Read a signed 64-bit integer."""
         return struct.unpack("<q", self._take(8))[0]
 
-    def f64(self) -> float:
-        """Read an IEEE-754 double."""
-        return struct.unpack("<d", self._take(8))[0]
-
     def blob(self) -> bytes:
         """Read a ``u64``-length-prefixed byte string."""
         return self._take(self.u64())
-
-    def text(self) -> str:
-        """Read a UTF-8 string written by :meth:`ByteWriter.text`."""
-        return self.blob().decode("utf-8")
 
     def array(self) -> np.ndarray:
         """Read a numpy array written by :meth:`ByteWriter.array`.

@@ -11,9 +11,10 @@ queries without re-running ``fit()``:
 * ``RECON``   -- the ε₁-bounded reconstructions of every point, so that a
   load need not replay them from the records (the replay gives the same
   bits);
-* ``INDEX``   -- the TPI: time periods, partition-index rectangles and each
-  grid cell's delta+Huffman compressed posting list (the Huffman codecs are
-  persisted as canonical code lengths);
+* ``INDEX``   -- the TPI as seven whole-index arrays: time periods, grid
+  rectangles, non-empty cells and their sorted trajectory IDs, linked by
+  offset arrays (the delta+Huffman list sizes the paper charges are
+  accounting only, see :meth:`~repro.index.grid.GridIndex.storage_bits`);
 * ``RAWDATA`` -- optionally, the raw trajectories, which exact-match
   queries verify against.
 
@@ -39,7 +40,6 @@ from repro.core.summary import TimestepRecord, TrajectorySummary
 from repro.cqc.coding import CQCCoder
 from repro.data.trajectory import Trajectory, TrajectoryDataset
 from repro.index.grid import GridIndex
-from repro.index.idcodec import CompressedIdList
 from repro.index.pi import PartitionIndex
 from repro.index.rectangles import Rect
 from repro.index.tpi import TemporalPartitionIndex, TimePeriod
@@ -55,7 +55,6 @@ from repro.storage.format import (
     write_artifact_file,
 )
 from repro.utils.bitio import BitReader, BitWriter
-from repro.utils.huffman import HuffmanCodec
 
 #: Section names, in the order they are written.
 SECTION_CONFIG = "CONFIG"
@@ -67,6 +66,10 @@ SECTION_RAWDATA = "RAWDATA"
 
 _REQUIRED_SECTIONS = (SECTION_CONFIG, SECTION_CODEBOOK, SECTION_RECORDS,
                       SECTION_RECON, SECTION_INDEX)
+
+#: Oldest format version whose INDEX layout this reader decodes.  Older
+#: files load only with ``strict=False``, which rebuilds the index.
+_INDEX_SINCE_VERSION = 2
 
 
 # ---------------------------------------------------------------------- #
@@ -228,76 +231,59 @@ def _decode_reconstructions(payload: bytes, summary: TrajectorySummary) -> None:
 # ---------------------------------------------------------------------- #
 # INDEX section (TPI)
 # ---------------------------------------------------------------------- #
-def _encode_grid(writer: ByteWriter, grid: GridIndex, baseline: float) -> None:
-    rect = grid.rect
-    writer.f64(rect.min_x)
-    writer.f64(rect.min_y)
-    writer.f64(rect.max_x)
-    writer.f64(rect.max_y)
-    writer.f64(grid.cell_size)
-    writer.f64(baseline)
-    cells = sorted(grid._cells)
-    writer.u64(len(cells))
-    for cell in cells:
-        compressed = grid._cells[cell]
-        writer.i64(cell[0])
-        writer.i64(cell[1])
-        writer.i64(compressed.first_id)
-        writer.u64(compressed.count)
-        writer.u64(compressed.bit_length)
-        writer.blob(compressed.payload)
-        lengths = compressed.codec.code_lengths if compressed.codec is not None else {}
-        writer.u64(len(lengths))
-        for symbol in sorted(lengths):
-            writer.i64(int(symbol))
-            writer.u8(int(lengths[symbol]))
-
-
-def _decode_grid(reader: ByteReader, config: IndexConfig) -> tuple[GridIndex, float]:
-    rect = Rect(reader.f64(), reader.f64(), reader.f64(), reader.f64())
-    cell_size = reader.f64()
-    baseline = reader.f64()
-    grid = GridIndex(rect, cell_size)
-    for _ in range(reader.u64()):
-        cell = (reader.i64(), reader.i64())
-        first_id = reader.i64()
-        count = reader.u64()
-        bit_length = reader.u64()
-        payload = reader.blob()
-        lengths = {}
-        for _ in range(reader.u64()):
-            symbol = reader.i64()
-            lengths[symbol] = reader.u8()
-        if count and not lengths:
-            raise ArtifactFormatError(f"INDEX cell {cell} holds {count} IDs but no code table")
-        try:
-            codec = HuffmanCodec.from_code_lengths(lengths) if lengths else None
-        except ValueError as exc:
-            raise ArtifactFormatError(f"INDEX cell {cell} has a bad code table: {exc}") from exc
-        grid._cells[cell] = CompressedIdList(
-            payload=payload, bit_length=bit_length,
-            first_id=first_id, count=count, codec=codec,
-        )
-    return grid, baseline
+#: INDEX arrays in file order: name, dtype, and columns (``None``: 1-D).
+_INDEX_ARRAYS = (("periods", np.int64, 3), ("grid_offsets", np.int64, None),
+                 ("grids", np.float64, 6), ("cell_offsets", np.int64, None),
+                 ("cells", np.int64, 2), ("id_offsets", np.int64, None),
+                 ("ids", np.int64, None))
 
 
 def _encode_index(index: TemporalPartitionIndex) -> bytes:
+    periods, grids, cells, ids = [], [], [], []
+    grid_offsets, cell_offsets, id_offsets = [0], [0], [0]
+    for period in index.periods:
+        pi = period.index
+        periods.append((period.start, period.end, pi.t))
+        baselines = pi.baseline_density or [0.0] * len(pi.grids)
+        for grid, baseline in zip(pi.grids, baselines):
+            rect, postings = grid.rect, grid.postings()
+            grids.append((rect.min_x, rect.min_y, rect.max_x, rect.max_y,
+                          grid.cell_size, baseline))
+            for cell in sorted(postings):
+                cells.append(cell)
+                ids.extend(postings[cell])
+                id_offsets.append(len(ids))
+            cell_offsets.append(len(cells))
+        grid_offsets.append(len(grids))
     writer = ByteWriter()
     writer.i64(index.seed)
     writer.u64(index.stats.num_rebuilds)
     writer.u64(index.stats.num_insertions)
-    writer.f64(index.stats.build_seconds)
-    writer.u64(len(index.periods))
-    for period in index.periods:
-        writer.i64(period.start)
-        writer.i64(period.end)
-        pi = period.index
-        writer.i64(pi.t)
-        writer.u64(len(pi.grids))
-        baselines = pi.baseline_density or [0.0] * len(pi.grids)
-        for grid, baseline in zip(pi.grids, baselines):
-            _encode_grid(writer, grid, float(baseline))
+    arrays = (periods, grid_offsets, grids, cell_offsets, cells, id_offsets, ids)
+    for (_name, dtype, columns), values in zip(_INDEX_ARRAYS, arrays):
+        shape = (-1,) if columns is None else (-1, columns)
+        writer.array(np.asarray(values, dtype=dtype).reshape(shape))
     return writer.getvalue()
+
+
+def _check_offsets(name: str, offsets: np.ndarray, runs: int, entries: int,
+                   allow_empty: bool) -> None:
+    """``offsets`` must split ``entries`` entries into ``runs`` consecutive runs."""
+    if (len(offsets) != runs + 1 or offsets[0] != 0 or offsets[-1] != entries
+            or np.any(offsets[1:] < offsets[:-1])):
+        raise ArtifactFormatError(f"INDEX {name} do not split {entries} entries into "
+                                  f"{runs} runs")
+    if not allow_empty and np.any(offsets[1:] == offsets[:-1]):
+        raise ArtifactFormatError(f"INDEX {name} leave a cell empty")
+
+
+def _check_ascending(name: str, ascending: np.ndarray, offsets: np.ndarray) -> None:
+    """``ascending[i]`` says entry ``i + 1`` follows entry ``i``; run starts are exempt."""
+    ascending = ascending.copy()
+    starts = offsets[1:-1]
+    ascending[starts[(starts > 0) & (starts <= len(ascending))] - 1] = True
+    if not ascending.all():
+        raise ArtifactFormatError(f"INDEX {name} are not strictly ascending within a run")
 
 
 def _decode_index(payload: bytes, config: IndexConfig) -> TemporalPartitionIndex:
@@ -305,18 +291,48 @@ def _decode_index(payload: bytes, config: IndexConfig) -> TemporalPartitionIndex
     index = TemporalPartitionIndex(config, seed=reader.i64())
     index.stats.num_rebuilds = reader.u64()
     index.stats.num_insertions = reader.u64()
-    index.stats.build_seconds = reader.f64()
-    for _ in range(reader.u64()):
-        start = reader.i64()
-        end = reader.i64()
-        pi = PartitionIndex(t=reader.i64(), config=config)
-        for _ in range(reader.u64()):
-            grid, baseline = _decode_grid(reader, config)
+    arrays = []
+    for name, dtype, columns in _INDEX_ARRAYS:
+        array = reader.array()
+        if (array.dtype != dtype or array.ndim == 0
+                or array.shape[1:] != (() if columns is None else (columns,))):
+            raise ArtifactFormatError(f"INDEX {name} has dtype {array.dtype} and shape "
+                                      f"{array.shape}")
+        arrays.append(array)
+    if reader.remaining:
+        raise ArtifactFormatError(f"INDEX has {reader.remaining} trailing bytes")
+    periods, grid_offsets, grids, cell_offsets, cells, id_offsets, ids = arrays
+
+    _check_offsets("grid_offsets", grid_offsets, len(periods), len(grids), allow_empty=True)
+    _check_offsets("cell_offsets", cell_offsets, len(grids), len(cells), allow_empty=True)
+    _check_offsets("id_offsets", id_offsets, len(cells), len(ids), allow_empty=False)
+    before, after = cells[:-1], cells[1:]
+    _check_ascending("cells", (after[:, 0] > before[:, 0])
+                     | ((after[:, 0] == before[:, 0]) & (after[:, 1] > before[:, 1])),
+                     cell_offsets)
+    _check_ascending("ids", ids[1:] > ids[:-1], id_offsets)
+    if not (np.isfinite(grids).all() and np.all(grids[:, 0] <= grids[:, 2])
+            and np.all(grids[:, 1] <= grids[:, 3]) and np.all(grids[:, 4] > 0)):
+        raise ArtifactFormatError("INDEX holds a non-finite value, a degenerate rectangle "
+                                  "or a non-positive cell size")
+
+    cell_keys = list(zip(cells[:, 0].tolist(), cells[:, 1].tolist()))
+    id_list, id_bounds = ids.tolist(), id_offsets.tolist()
+    lists = [tuple(id_list[a:b]) for a, b in zip(id_bounds, id_bounds[1:])]
+    rows, cell_bounds, grid_bounds = grids.tolist(), cell_offsets.tolist(), grid_offsets.tolist()
+    for (start, end, t), first, stop in zip(periods.tolist(), grid_bounds, grid_bounds[1:]):
+        pi = PartitionIndex(t=t, config=config)
+        for g in range(first, stop):
+            min_x, min_y, max_x, max_y, cell_size, baseline = rows[g]
+            a, b = cell_bounds[g], cell_bounds[g + 1]
+            try:
+                grid = GridIndex(Rect(min_x, min_y, max_x, max_y), cell_size,
+                                 postings=dict(zip(cell_keys[a:b], lists[a:b])))
+            except OverflowError as exc:  # finite bounds, but too many cells to count
+                raise ArtifactFormatError(f"INDEX grid {g} is unusable: {exc}") from exc
             pi.grids.append(grid)
             pi.baseline_density.append(baseline)
         index.periods.append(TimePeriod(start=start, end=end, index=pi))
-    index.stats.num_periods = len(index.periods)
-    index.stats.index_bits = index.storage_bits()
     return index
 
 
@@ -510,7 +526,9 @@ def load_model(path: str | Path, strict: bool = True):
         records (:meth:`~repro.core.summary.TrajectorySummary.replay`), a
         damaged index is rebuilt from the summary's reconstructions, and a
         damaged raw-data section is dropped with a ``RuntimeWarning``
-        (disabling exact-match queries).  The resulting system's
+        (disabling exact-match queries).  An artifact older than format
+        version 2 loads only this way: its INDEX layout is no longer read,
+        so the index is rebuilt.  The resulting system's
         ``load_report`` (a :class:`LoadReport`) lists every section's fate;
         rebuilt sections are bit-identical to the originals because both
         are deterministic functions of the summary.
@@ -526,8 +544,9 @@ def load_model(path: str | Path, strict: bool = True):
     OSError
         If the file cannot be read.
     ArtifactFormatError
-        If the file is not a well-formed artifact or a non-salvageable
-        section is missing.
+        If the file is not a well-formed artifact, a non-salvageable
+        section is missing, or (strict loads) a section fails its checks
+        or the file predates format version 2.
     ArtifactVersionError
         If the artifact was written by a newer format version.
     ArtifactChecksumError
@@ -543,14 +562,20 @@ def load_model(path: str | Path, strict: bool = True):
     report = LoadReport(path=str(path), strict=strict)
 
     if strict:
-        _version, payloads = unpack_artifact(blob)
+        version, payloads = unpack_artifact(blob)
         missing = [name for name in _REQUIRED_SECTIONS if name not in payloads]
         if missing:
             raise ArtifactFormatError(
                 f"artifact is missing required section(s): {', '.join(missing)}"
             )
+        if version < _INDEX_SINCE_VERSION:
+            raise ArtifactFormatError(
+                f"artifact format version {version} stores INDEX in a layout this "
+                "library no longer reads; load it with strict=False to rebuild "
+                "the index from the summary"
+            )
     else:
-        _version, infos = inspect_artifact(blob, strict=False)
+        version, infos = inspect_artifact(blob, strict=False)
         payloads = {info.name: blob[info.offset:info.offset + info.length] for info in infos}
         crc_ok = {info.name: info.crc_ok for info in infos}
         missing = [name for name in _NON_DERIVABLE_SECTIONS if name not in payloads]
@@ -593,7 +618,7 @@ def load_model(path: str | Path, strict: bool = True):
             report.record(SECTION_RAWDATA, "ok")
     else:
         index, raw_dataset = _salvage_sections(
-            payloads, crc_ok, summary, index_config, report
+            payloads, crc_ok, version, summary, index_config, report
         )
 
     system.summary = summary
@@ -603,7 +628,7 @@ def load_model(path: str | Path, strict: bool = True):
     return system
 
 
-def _salvage_sections(payloads: dict[str, bytes], crc_ok: dict[str, bool],
+def _salvage_sections(payloads: dict[str, bytes], crc_ok: dict[str, bool], version: int,
                       summary: TrajectorySummary, index_config: IndexConfig,
                       report: LoadReport):
     """Decode the derivable sections of a damaged artifact, rebuilding as needed.
@@ -629,18 +654,22 @@ def _salvage_sections(payloads: dict[str, bytes], crc_ok: dict[str, bool],
         report.record(SECTION_RECON, "rebuilt", f"{detail}; replayed from records")
 
     index = None
-    if SECTION_INDEX in payloads and crc_ok[SECTION_INDEX]:
+    if SECTION_INDEX not in payloads:
+        detail = "missing"
+    elif not crc_ok[SECTION_INDEX]:
+        detail = "checksum mismatch"
+    elif version < _INDEX_SINCE_VERSION:
+        detail = f"format version {version} layout"
+    else:
         try:
             index = _decode_index(payloads[SECTION_INDEX], index_config)
-            report.record(SECTION_INDEX, "ok")
         except Exception as exc:  # noqa: BLE001 - any decode failure is salvageable
-            index = None
-            report.record(SECTION_INDEX, "rebuilt",
-                          f"decode failed ({exc}); rebuilt from summary reconstructions")
-    else:
-        detail = "missing" if SECTION_INDEX not in payloads else "checksum mismatch"
+            detail = f"decode failed ({exc})"
+    if index is None:
         report.record(SECTION_INDEX, "rebuilt",
                       f"{detail}; rebuilt from summary reconstructions")
+    else:
+        report.record(SECTION_INDEX, "ok")
 
     raw_dataset = None
     if SECTION_RAWDATA in payloads:

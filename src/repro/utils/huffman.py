@@ -1,8 +1,8 @@
 """Canonical Huffman coding for small integer alphabets.
 
 Section 5.1 of the paper compresses the trajectory-ID lists stored in every
-grid cell with delta encoding followed by Huffman codes.  This module provides
-the Huffman half: it builds an optimal prefix code from symbol frequencies,
+grid cell with delta encoding followed by Huffman codes; here that sizes the
+index (:mod:`repro.index.idcodec`).  This module provides the Huffman half: it builds an optimal prefix code from symbol frequencies,
 exposes the per-symbol code table (so storage cost can be accounted exactly)
 and supports round-trip encode/decode through :mod:`repro.utils.bitio`.
 
@@ -68,8 +68,8 @@ class HuffmanCodec:
         """The shared codec for per-symbol canonical code lengths.
 
         Because codes are canonical, the ``(symbol, code length)`` pairs
-        fully determine the code table; this is what the model-artifact
-        storage layer persists instead of raw frequencies.
+        fully determine the code table, so a codec can be rebuilt without
+        its frequencies.
 
         Parameters
         ----------

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.index.grid import GridIndex
+from repro.index.idcodec import compress_ids
 from repro.index.pi import PartitionIndex
 from repro.index.rectangles import Rect
 
@@ -96,3 +98,23 @@ class TestStatistics:
         grid = GridIndex(Rect(0.0, 0.0, 2.5, 1.2), cell_size=1.0)
         assert grid.num_cells_x == 3
         assert grid.num_cells_y == 2
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                       st.lists(st.integers(0, 5000), min_size=1, max_size=12),
+                       max_size=30))
+@example({(0, 0): [7]})                                   # one ID
+@example({(0, 0): [3, 9, 12], (4, 1): [40]})              # several IDs
+@example({(2, 2): [5, 5, 5], (3, 7): [8, 1, 8, 2]})       # repeated IDs
+def test_storage_bits_are_the_codec_sizes(postings):
+    """Section 5.1 accounting: grid metadata, then per cell a 64-bit key and
+    the delta+Huffman list as :func:`compress_ids` sizes it."""
+    grid = GridIndex(Rect(0.0, 0.0, 10.0, 10.0), cell_size=1.0)
+    cells = [cell for cell, ids in postings.items() for _ in ids]
+    ids = [tid for members in postings.values() for tid in members]
+    grid.insert(np.asarray(ids, dtype=np.int64),
+                np.asarray(cells, dtype=float).reshape(-1, 2) + 0.5)
+    assert grid.postings() == {cell: tuple(sorted(set(members)))
+                               for cell, members in postings.items()}
+    assert grid.storage_bits() == 4 * 64 + 2 * 32 + sum(
+        64 + compress_ids(members).storage_bits for members in postings.values())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import CQCConfig, IndexConfig, PPQConfig, PPQTrajectory, PartitionCriterion
+from repro.data.trajectory import Trajectory, TrajectoryDataset
 from repro.metrics.accuracy import mean_absolute_error
 
 
@@ -39,6 +40,17 @@ class TestLifecycle:
             system.strq(0.0, 0.0, 0)
         with pytest.raises(RuntimeError):
             system.compression_ratio()
+
+    @pytest.mark.parametrize("preset", [PPQTrajectory.ppq_s, PPQTrajectory.ppq_a])
+    def test_fit_refuses_a_dataset_without_points(self, preset, tmp_path):
+        with pytest.raises(ValueError, match="no points"):
+            preset().fit(TrajectoryDataset([]))
+        late = TrajectoryDataset([Trajectory(0, np.zeros((3, 2)), np.arange(5, 8))])
+        with pytest.raises(ValueError, match="no points at or before t_max=4"):
+            preset().fit(late, t_max=4)
+        system = preset().fit(late, t_max=5)
+        assert system.summary.num_points == 1
+        system.save(tmp_path / "late.ppq")
 
     def test_fit_without_index_blocks_queries_but_allows_reconstruction(self, porto_small):
         system = PPQTrajectory()

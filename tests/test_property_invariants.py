@@ -14,7 +14,9 @@ workloads, the guarantees the system's correctness rests on:
 * the TPI posts every reconstructed point, and only those: per time period,
   the union over the period's grids of each cell's posting list is the set of
   trajectories whose reconstruction at some timestamp of the period lies in
-  that cell.
+  that cell;
+* Section 5.1 -- the index's reported size is every posting list charged at
+  its delta+Huffman size.
 
 Workloads are smooth random walks that all start at ``t = 0``, or the same
 walks on adversarial timelines: time gaps, late starts, single-point
@@ -30,6 +32,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import CQCConfig, IndexConfig, PPQConfig, PPQTrajectory, PartitionCriterion
 from repro.core.ppq import PartitionwisePredictiveQuantizer
 from repro.data.trajectory import Trajectory, TrajectoryDataset
+from repro.index.idcodec import compress_ids
 from repro.metrics.accuracy import precision_recall, reconstruction_errors
 from repro.queries.exact import ground_truth_cell_members
 
@@ -174,7 +177,7 @@ def test_period_postings_equal_brute_force_cells(dataset):
         stored: dict[tuple[int, int], set[int]] = {}
         for grid in period.index.grids:
             assert grid.cell_size == cell_size
-            for cell, ids in grid.decoded_postings().items():
+            for cell, ids in grid.postings().items():
                 stored.setdefault(cell, set()).update(ids)
         expected: dict[tuple[int, int], set[int]] = {}
         for t in range(period.start, period.end + 1):
@@ -185,3 +188,20 @@ def test_period_postings_equal_brute_force_cells(dataset):
             for tid, (cx, cy) in zip(points, cells.tolist()):
                 expected.setdefault((cx, cy), set()).add(int(tid))
         assert stored == expected, (period.start, period.end)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dataset=workload)
+def test_index_bits_charge_every_list_at_its_codec_size(dataset):
+    """The TPI's paper size is the sum of Section 5.1's per-list costs: each
+    period's boundaries, each PI's timestamp, each grid's rectangle and
+    metadata, and per cell its key plus the compressed list."""
+    index = PPQTrajectory.ppq_s().fit(dataset).engine.index
+    expected = 0
+    for period in index.periods:
+        expected += 2 * 64 + 64
+        for grid in period.index.grids:
+            expected += 4 * 64 + 2 * 32
+            expected += sum(64 + compress_ids(ids).storage_bits
+                            for ids in grid.postings().values())
+    assert index.storage_bits() == expected

@@ -29,10 +29,16 @@ from repro.storage import (
     load_model,
     save_model,
 )
-from repro.storage.format import FORMAT_VERSION, MAGIC, pack_artifact, unpack_artifact
+from repro.storage.format import (
+    FORMAT_VERSION,
+    MAGIC,
+    ByteReader,
+    ByteWriter,
+    pack_artifact,
+    unpack_artifact,
+)
 from repro.storage.io import (
     _encode_dataset,
-    _encode_index,
     _encode_reconstructions,
     _encode_records,
 )
@@ -511,35 +517,158 @@ def test_non_strict_load_of_clean_artifact_reports_all_ok(salvage_saved):
     assert [s.status for s in report.sections] == ["ok"] * len(report.sections)
 
 
-class _StoredTable:
-    """Stands in for a codec whose stored code-length table is ``code_lengths``."""
+def _staggered(num_trajectories=16, max_length=30, spread=40, seed=13):
+    """Porto-like trips whose start times are spread over ``spread`` steps."""
+    base = generate_porto_like(num_trajectories=num_trajectories, max_length=max_length,
+                               seed=seed)
+    rng = np.random.default_rng(seed)
+    return TrajectoryDataset(
+        Trajectory(tr.traj_id, tr.points, tr.timestamps + int(rng.integers(0, spread)))
+        for tr in base
+    )
 
-    def __init__(self, code_lengths):
-        self.code_lengths = code_lengths
+
+def test_artifacts_are_byte_reproducible(tmp_path):
+    """Two fits save the same bytes, and a load followed by a save rewrites
+    them unchanged: INDEX holds no build time, and its arrays round-trip."""
+    data = _staggered()
+    first, second, again = (tmp_path / name for name in ("a.ppq", "b.ppq", "c.ppq"))
+    fitted = PPQTrajectory.ppq_s().fit(data)
+    fitted.save(first)
+    PPQTrajectory.ppq_s().fit(data).save(second)
+    assert first.read_bytes() == second.read_bytes()
+    loaded = load_model(first)
+    loaded.save(again)
+    assert again.read_bytes() == first.read_bytes()
+
+    a, b = fitted.engine.index, loaded.engine.index
+    assert a.num_periods >= 2 and a.stats.num_insertions > 0
+    assert (a.seed, a.stats.num_rebuilds, a.stats.num_insertions) == (
+        b.seed, b.stats.num_rebuilds, b.stats.num_insertions)
+    assert b.stats.build_seconds == 0.0 < a.stats.build_seconds
+    assert a.storage_bits() == b.storage_bits()
+    for pa, pb in zip(a.periods, b.periods, strict=True):
+        assert (pa.start, pa.end, pa.index.t) == (pb.start, pb.end, pb.index.t)
+        assert pa.index.baseline_density == pb.index.baseline_density
+        for ga, gb in zip(pa.index.grids, pb.index.grids, strict=True):
+            assert (ga.rect, ga.cell_size) == (gb.rect, gb.cell_size)
+            assert ga.postings() == gb.postings()
 
 
-def _with_code_table(path, tmp_path, lengths):
-    """Copy of the artifact whose first INDEX cell stores ``lengths`` as its table.
+_INDEX_ARRAYS = ("periods", "grid_offsets", "grids", "cell_offsets", "cells",
+                 "id_offsets", "ids")
+
+
+def _with_index(path, tmp_path, mutate):
+    """Copy of the artifact whose INDEX arrays went through ``mutate(arrays)``.
 
     INDEX is re-encoded and the artifact repacked, so every checksum is valid.
     """
-    index = load_model(path).engine.index
-    grid = next(g for period in index.periods for g in period.index.grids if g._cells)
-    cell = min(grid._cells)
-    grid._cells[cell] = dataclasses.replace(grid._cells[cell], codec=_StoredTable(lengths))
     _version, payloads = unpack_artifact(path.read_bytes())
-    payloads["INDEX"] = _encode_index(index)
-    bad = tmp_path / "bad_table.ppq"
+    reader = ByteReader(payloads["INDEX"])
+    header = (reader.i64(), reader.u64(), reader.u64())
+    arrays = {name: reader.array() for name in _INDEX_ARRAYS}
+    assert reader.remaining == 0
+    mutate(arrays)
+    writer = ByteWriter()
+    writer.i64(header[0])
+    writer.u64(header[1])
+    writer.u64(header[2])
+    for name in _INDEX_ARRAYS:
+        writer.array(arrays[name])
+    payloads["INDEX"] = writer.getvalue()
+    bad = tmp_path / "bad_index.ppq"
     bad.write_bytes(pack_artifact(list(payloads.items())))
     return bad
 
 
-@pytest.mark.parametrize("lengths", [{0: 0}, {0: 1, 1: 1, 2: 1}, {}],
-                         ids=["zero-length", "over-full", "missing"])
-def test_bad_code_table_is_a_format_error(salvage_saved, tmp_path, dataset, capsys, lengths):
+def _first_run(offsets, min_length):
+    """Start of the first run of at least ``min_length`` entries."""
+    return int(offsets[np.flatnonzero(np.diff(offsets) >= min_length)[0]])
+
+
+def _swap_next(array, at):
+    array[[at, at + 1]] = array[[at + 1, at]]
+
+
+def _decrease_offsets(arrays):
+    _swap_next(arrays["id_offsets"], 1)
+
+
+def _short_offsets(arrays):
+    arrays["cell_offsets"] = arrays["cell_offsets"][:-1]
+
+
+def _empty_cell(arrays):
+    offsets = arrays["id_offsets"]
+    offsets[1] = offsets[2]
+
+
+def _cells_out_of_order(arrays):
+    _swap_next(arrays["cells"], _first_run(arrays["cell_offsets"], 2))
+
+
+def _repeated_cell(arrays):
+    at = _first_run(arrays["cell_offsets"], 2)
+    arrays["cells"][at + 1] = arrays["cells"][at]
+
+
+def _ids_out_of_order(arrays):
+    _swap_next(arrays["ids"], _first_run(arrays["id_offsets"], 2))
+
+
+def _repeated_id(arrays):
+    at = _first_run(arrays["id_offsets"], 2)
+    arrays["ids"][at + 1] = arrays["ids"][at]
+
+
+def _bad_rectangle(arrays):
+    arrays["grids"][0, 0] = arrays["grids"][0, 2] + 1.0   # min_x above max_x
+
+
+def _bad_cell_size(arrays):
+    arrays["grids"][0, 4] = 0.0
+
+
+#: Case -> (mutation of the INDEX arrays, what the strict load's error says).
+_MALFORMED_INDEX = {
+    "decreasing-offsets": (_decrease_offsets, "id_offsets do not split"),
+    "short-offsets": (_short_offsets, "cell_offsets do not split"),
+    "empty-cell": (_empty_cell, "leave a cell empty"),
+    "cells-out-of-order": (_cells_out_of_order, "cells are not strictly ascending"),
+    "repeated-cell": (_repeated_cell, "cells are not strictly ascending"),
+    "ids-out-of-order": (_ids_out_of_order, "ids are not strictly ascending"),
+    "repeated-id": (_repeated_id, "ids are not strictly ascending"),
+    "bad-rectangle": (_bad_rectangle, "degenerate rectangle"),
+    "bad-cell-size": (_bad_cell_size, "non-positive cell size"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_INDEX))
+def test_malformed_index_arrays_are_a_format_error(salvage_saved, tmp_path, dataset,
+                                                   capsys, case):
     original, path = salvage_saved
-    bad = _with_code_table(path, tmp_path, lengths)
-    with pytest.raises(ArtifactFormatError, match="code table"):
+    mutate, match = _MALFORMED_INDEX[case]
+    _assert_index_refused(original, _with_index(path, tmp_path, mutate), dataset, capsys,
+                          match=f"INDEX .*{match}")
+
+
+def test_version_1_artifact_loads_only_by_salvage(salvage_saved, tmp_path, dataset, capsys):
+    """Version 1 stored INDEX per cell with its own Huffman table; that layout
+    is no longer read, so only a salvage load (which rebuilds INDEX) succeeds."""
+    original, path = salvage_saved
+    blob = bytearray(path.read_bytes())
+    blob[8] = 1  # little-endian u32 version field; the table CRC does not cover it
+    old = tmp_path / "version1.ppq"
+    old.write_bytes(bytes(blob))
+    assert inspect_model(old).format_version == 1
+    _assert_index_refused(original, old, dataset, capsys, match="version 1.*strict=False")
+
+
+def _assert_index_refused(original, bad, dataset, capsys, match):
+    """Strict loads refuse ``bad`` cleanly; salvage rebuilds INDEX and answers
+    like ``original``."""
+    with pytest.raises(ArtifactFormatError, match=match):
         load_model(bad)
     assert main(["load", str(bad)]) == EXIT_ARTIFACT
     err = capsys.readouterr().err

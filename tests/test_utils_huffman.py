@@ -7,11 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from repro import PPQTrajectory
-from repro.data.synthetic import generate_porto_like
-from repro.index.grid import GridIndex
-from repro.index.idcodec import CompressedIdList, compress_ids
-from repro.index.rectangles import Rect
+from repro.index.idcodec import compress_ids
 from repro.utils import huffman
 from repro.utils.bitio import BitWriter
 from repro.utils.huffman import HuffmanCodec
@@ -123,8 +119,7 @@ class TestEncodeDecode:
 
 
 class TestDecodeErrors:
-    """Corrupt streams raise ``ValueError`` or ``EOFError``, and a grid cell
-    holding one raises the same from its lookup."""
+    """Corrupt streams raise ``ValueError`` or ``EOFError``."""
 
     @pytest.mark.parametrize("lengths, payload, bit_length", [
         ({"a": 1, "b": 2, "c": 2}, b"\x80", 1),   # "1": ends inside "10"/"11"
@@ -135,11 +130,6 @@ class TestDecodeErrors:
         codec = HuffmanCodec.from_code_lengths(lengths)
         with pytest.raises((ValueError, EOFError)):
             codec.decode(payload, bit_length)
-        grid = GridIndex(Rect(0.0, 0.0, 1.0, 1.0), cell_size=1.0)
-        grid._cells[(0, 0)] = CompressedIdList(payload=payload, bit_length=bit_length,
-                                               first_id=0, count=1, codec=codec)
-        with pytest.raises((ValueError, EOFError)):
-            grid.ids_in_cell((0, 0))
 
 
 class TestSharedCodecs:
@@ -162,19 +152,15 @@ class TestSharedCodecs:
         with pytest.raises(ValueError):
             HuffmanCodec.from_code_lengths(lengths)
 
-    def test_dropped_system_frees_its_codecs(self, monkeypatch):
+    def test_shared_codecs_are_freed_with_their_lists(self, monkeypatch):
         assert isinstance(huffman._SHARED, weakref.WeakValueDictionary)
         # A fresh table, so codecs that other live objects share do not count.
         table = weakref.WeakValueDictionary()
         monkeypatch.setattr(huffman, "_SHARED", table)
-        dataset = generate_porto_like(num_trajectories=6, max_length=35, seed=2)
-        system = PPQTrajectory.ppq_s().fit(dataset)
-        codecs = [cl.codec for period in system.engine.index.periods
-                  for grid in period.index.grids for cl in grid._cells.values()]
-        # One codec per distinct table, and every one of them is shared.
-        tables = {frozenset(codec.code_lengths.items()) for codec in codecs}
-        assert len(codecs) > len({id(codec) for codec in codecs}) == len(tables)
-        assert {id(codec) for codec in codecs} <= {id(codec) for codec in table.values()}
-        del system, codecs
+        lists = [compress_ids([1, 2, 4]), compress_ids([7, 8, 10]), compress_ids([5])]
+        # Equal delta tables share one codec.
+        assert lists[0].codec is lists[1].codec is not lists[2].codec
+        assert len(table) == 2
+        del lists
         gc.collect()
         assert len(table) == 0
