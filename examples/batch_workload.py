@@ -8,10 +8,11 @@ The script compresses a Porto-like synthetic repository, builds a mixed
 STRQ/TPQ/exact workload (the kind a monitoring dashboard would fire every
 refresh), writes it to the JSON workload format understood by
 ``python -m repro query --workload file.json``, and answers it twice: once
-query by query through the scalar API and once through
-:meth:`QueryEngine.run_batch`.  The batched run shares index scans across
-queries and serves repeated slice reconstructions from the summary's LRU
-cache, so it is several times faster while returning identical results.
+query by query through the single-query API (each call a batch of one) and
+once through :meth:`QueryEngine.run_batch`.  The single batch shares index
+scans across queries and serves repeated slice reconstructions from the
+summary's LRU cache, so it is several times faster while returning
+identical results.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def build_workload_entries(dataset, num_queries: int = 200, seed: int = 11) -> l
 
 
 def run_sequentially(system: PPQTrajectory, workload) -> list:
-    """The per-query loop the batch API replaces."""
+    """One batch of one per query: what a single batch saves."""
     results = []
     for spec in workload:
         if spec.kind == "strq":

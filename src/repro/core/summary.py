@@ -27,10 +27,10 @@ from repro.core.prediction import lag_history
 class ReconstructionCache:
     """Bounded LRU cache for reconstructed timestamp slices.
 
-    Batched queries touch the same timestamps over and over (every STRQ at
-    ``t`` wants the reconstructions of every trajectory active at ``t``; a
-    TPQ of length ``l`` wants ``l`` consecutive slices).  Caching whole
-    slices amortises the CQC offset decoding across all queries of a batch,
+    Batched queries touch the same timestamps over and over (every STRQ and
+    exact-match query at ``t`` wants the reconstructions of candidates
+    active at ``t``; TPQ paths bypass the cache).  Caching whole slices
+    amortises the CQC offset decoding across all queries of a batch,
     while the LRU bound keeps memory proportional to the working set instead
     of the stream length.
 
@@ -321,19 +321,15 @@ class TrajectorySummary:
         return base + offset
 
     def reconstruct_path(self, traj_id: int, t_start: int, length: int,
-                         use_cqc: bool = True, cached: bool = False) -> np.ndarray:
+                         use_cqc: bool = True) -> np.ndarray:
         """Reconstruct up to ``length`` consecutive points starting at ``t_start``.
 
         Missing timestamps terminate the path early; the result has shape
-        ``(m, 2)`` with ``m <= length``.  With ``cached=True`` the points are
-        served through the LRU slice cache (used by batched TPQs, where path
-        windows of different queries overlap); results are identical either
-        way.
+        ``(m, 2)`` with ``m <= length``.
         """
-        getter = self.reconstruct_point_cached if cached else self.reconstruct_point
         points = []
         for t in range(int(t_start), int(t_start) + int(length)):
-            point = getter(traj_id, t, use_cqc=use_cqc)
+            point = self.reconstruct_point(traj_id, t, use_cqc=use_cqc)
             if point is None:
                 break
             points.append(point)
@@ -347,11 +343,9 @@ class TrajectorySummary:
 
         The cache groups refined reconstructions by timestamp, so any batch
         of queries touching the same ``(traj_id, t)`` pair -- different
-        STRQs sharing candidates, overlapping TPQ path windows, exact-match
-        pre-filters -- pays the CQC decoding once.  Absent pairs are cached
-        negatively, which keeps repeated path probes past a trajectory's end
-        cheap.  Returned arrays are shared with the cache: treat them as
-        read-only.
+        STRQs sharing candidates, exact-match pre-filters -- pays the CQC
+        decoding once.  Absent pairs are cached negatively.  Returned arrays
+        are shared with the cache: treat them as read-only.
         """
         entry = self._slice_entry(int(t), bool(use_cqc))
         traj_id = int(traj_id)

@@ -16,12 +16,11 @@ bounded by ``√2/2 · g_s`` (Lemma 3).
 
 from repro.cqc.quadtree import CoordinateQuadtree
 from repro.cqc.coding import CQCCoder
-from repro.cqc.local_search import cells_within_radius, neighbor_cells, search_radius
+from repro.cqc.local_search import cells_within_radius, search_radius
 
 __all__ = [
     "CoordinateQuadtree",
     "CQCCoder",
     "search_radius",
-    "neighbor_cells",
     "cells_within_radius",
 ]

@@ -11,8 +11,9 @@ position is near a cell border; the local search widens the candidate space:
   ``g_c``) scanning the query cell and its adjacent cells and keeping only
   reconstructions within ``r`` of the query point is sufficient.
 
-These helpers enumerate the cells to scan; the filtering happens in
-:mod:`repro.queries.exact`.
+:func:`cells_within_radius` enumerates the disc's cells; the 3x3 block is
+built by the partition index's probe, and the filtering happens in
+:func:`repro.queries.batch.batch_exact`.
 """
 
 from __future__ import annotations
@@ -39,18 +40,6 @@ def within_radius_mask(points: np.ndarray, center: tuple[float, float],
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     delta = points - np.asarray(center, dtype=float)
     return np.einsum("ij,ij->i", delta, delta) <= float(radius) ** 2
-
-
-def neighbor_cells(cell: tuple[int, int], include_center: bool = True) -> list[tuple[int, int]]:
-    """The 3x3 block of cells around ``cell`` (the ``r <= g_c`` case)."""
-    cx, cy = cell
-    cells = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            if not include_center and dx == 0 and dy == 0:
-                continue
-            cells.append((cx + dx, cy + dy))
-    return cells
 
 
 def cells_within_radius(point: tuple[float, float], radius: float, origin: tuple[float, float],

@@ -10,7 +10,9 @@ delta+Huffman compressed (Section 5.1); here that is accounting only:
 the plain IDs.  A PI's rectangles start out disjoint, but those a TPI
 insertion appends may overlap older ones
 (:meth:`~repro.index.tpi.TemporalPartitionIndex.insert_slice`); a point
-inside several rectangles is posted in each of their grids.
+inside several rectangles is posted in each of their grids.  A grid answers
+no queries itself: its PI probes one cell table built over all of its grids
+(:class:`~repro.index.pi.PartitionIndex`).
 
 Cell boundaries are anchored at the coordinate origin (cell ``(i, j)`` covers
 ``[i*g_c, (i+1)*g_c) x [j*g_c, (j+1)*g_c)``), not at the rectangle corner, so
@@ -37,8 +39,8 @@ def encode_cells(cells: np.ndarray) -> np.ndarray:
     """Pack integer ``(cx, cy)`` cell indices into sortable int64 codes.
 
     The encoding ``(cx << 32) + cy`` is injective for cell indices below
-    2^31 in magnitude (far beyond any geographic grid) and is shared by
-    :meth:`GridIndex.encoded_table` and the batched PI lookups.
+    2^31 in magnitude (far beyond any geographic grid); the PI's cell table
+    is sorted by it.
     """
     cells = np.asarray(cells, dtype=np.int64)
     return (cells[..., 0] << np.int64(32)) + cells[..., 1]
@@ -69,9 +71,6 @@ class GridIndex:
         # Cell -> sorted tuple of trajectory IDs.  Cells without points are absent.
         self._postings: dict[tuple[int, int], tuple[int, ...]] = (
             {} if postings is None else postings)
-        # Sorted encoded-cell lookup table for the batched query path
-        # (built lazily by encoded_table, invalidated on insert).
-        self._table: tuple[np.ndarray, list[tuple[int, ...]]] | None = None
 
     # ------------------------------------------------------------------ #
     # population
@@ -100,29 +99,11 @@ class GridIndex:
         for cell, ids in touched.items():
             ids.update(postings.get(cell, ()))
             postings[cell] = tuple(sorted(ids))
-        if cells:
-            self._table = None
         return len(cells)
 
-    # ------------------------------------------------------------------ #
-    # lookup
-    # ------------------------------------------------------------------ #
-    def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        """Globally-anchored grid cell indices of a point."""
-        return int(math.floor(x / self.cell_size)), int(math.floor(y / self.cell_size))
-
     def cells_of(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`cell_of` for an ``(n, 2)`` array of points.
-
-        Returns an ``(n, 2)`` integer array of cell indices, identical row by
-        row to calling :meth:`cell_of` on each point.
-        """
-        points = np.asarray(points, dtype=float)
-        return np.floor(points / self.cell_size).astype(np.int64)
-
-    def ids_in_cell(self, cell: tuple[int, int]) -> list[int]:
-        """Trajectory IDs stored in one grid cell (empty list if none)."""
-        return list(self._postings.get(cell, ()))
+        """Globally-anchored ``(cx, cy)`` cell indices of an ``(n, 2)`` point array."""
+        return np.floor(np.asarray(points, dtype=float) / self.cell_size).astype(np.int64)
 
     def postings(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """The cell -> sorted ID tuple map.
@@ -131,42 +112,6 @@ class GridIndex:
         replaces the tuple of every cell it touches.
         """
         return self._postings
-
-    def encoded_table(self) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-        """Sorted encoded-cell table for batched lookups.
-
-        Returns ``(codes, postings)`` where ``codes`` is a sorted int64 array
-        of :func:`encode_cells`-encoded non-empty cells and ``postings[i]``
-        is the ID tuple of ``codes[i]``.  Batched lookups resolve all
-        candidate cells of all queries against this table with a single
-        ``searchsorted`` per grid, instead of one dict probe per (query,
-        cell) pair.  Rebuilt lazily after inserts.
-        """
-        if self._table is None:
-            postings = self._postings
-            cells = np.array(list(postings), dtype=np.int64).reshape(-1, 2)
-            codes = encode_cells(cells)
-            lists = list(postings.values())
-            order = np.argsort(codes, kind="stable")
-            self._table = (codes[order], [lists[i] for i in order.tolist()])
-        return self._table
-
-    def lookup(self, x: float, y: float) -> list[int]:
-        """Trajectory IDs stored in the cell containing ``(x, y)``."""
-        if not self.rect.contains(x, y):
-            return []
-        return self.ids_in_cell(self.cell_of(x, y))
-
-    def lookup_cells(self, cells) -> set[int]:
-        """Union of the ID lists of several cells."""
-        result: set[int] = set()
-        for cell in cells:
-            result.update(self.ids_in_cell(cell))
-        return result
-
-    def covers(self, x: float, y: float) -> bool:
-        """Whether the point falls inside this grid's rectangle."""
-        return self.rect.contains(x, y)
 
     # ------------------------------------------------------------------ #
     # statistics

@@ -14,6 +14,11 @@ The rectangles of a freshly built PI are disjoint.  A TPI insertion
 (:meth:`~repro.index.tpi.TemporalPartitionIndex.insert_slice`) appends the
 rectangles of a new PI built over the uncovered points, and those may overlap
 older ones.
+
+Queries probe one cell table per PI (:class:`_CellTable`) that covers all of
+its grids, so a batch of queries costs one ``searchsorted`` and a single
+query is a batch of one.  An entry of the table counts for a query only when
+one of its grids passes the rectangle test of the PI's containment matrix.
 """
 
 from __future__ import annotations
@@ -24,14 +29,58 @@ import numpy as np
 
 from repro.core.config import IndexConfig
 from repro.core.partitioning import partition_points
-from repro.cqc.local_search import cells_within_radius, neighbor_cells
+from repro.cqc.local_search import cells_within_radius
 from repro.index.grid import GridIndex, encode_cells
 from repro.index.rectangles import Rect, minimum_bounding_rect, remove_overlap
 
-#: Cell offsets of the 3x3 local-search neighbourhood (``r <= g_c`` case),
-#: pre-built for the broadcast path of :meth:`PartitionIndex.lookup_local_batch`.
-_NEIGHBOR_OFFSETS = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)],
-                             dtype=np.int64)
+#: Encoded offsets of the 3x3 local-search neighbourhood (``r <= g_c`` case):
+#: a cell's code plus one of them is the code of that neighbour.
+_NEIGHBOR_CODES = encode_cells(np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)],
+                                        dtype=np.int64))
+
+
+@dataclass(frozen=True)
+class _CellTable:
+    """Every distinct posting of a PI's grids, sorted by encoded cell.
+
+    Entry ``k`` is the ID tuple ``lists[k]`` posted at cell ``codes[k]`` by
+    the grids whose bits are set in ``holders[k]`` (bit ``g`` stands for
+    grid ``g``).  A tuple that several overlapping grids post at one cell is
+    one entry, holding the first grid's tuple object.  All grids share one
+    cell size, ``cell_size``.
+    """
+
+    codes: np.ndarray
+    lists: list[tuple[int, ...]]
+    holders: list[int]
+    cell_size: float
+
+    @classmethod
+    def build(cls, grids: list[GridIndex]) -> "_CellTable":
+        cell_size = grids[0].cell_size
+        if any(grid.cell_size != cell_size for grid in grids):
+            raise ValueError("the grids of one partition index must share a cell size")
+        codes, tuples, posters = [], [], []
+        for gi, grid in enumerate(grids):
+            postings = grid.postings()
+            codes.append(encode_cells(np.array(list(postings), dtype=np.int64).reshape(-1, 2)))
+            tuples.extend(postings.values())
+            posters.extend([1 << gi] * len(postings))
+        codes = np.concatenate(codes)
+        order = np.argsort(codes, kind="stable")
+        entry_codes, lists, holders = [], [], []
+        previous, entries = None, {}
+        for code, row in zip(codes[order].tolist(), order.tolist()):
+            if code != previous:
+                previous, entries = code, {}
+            entry = entries.get(tuples[row])
+            if entry is None:
+                entry = entries[tuples[row]] = len(lists)
+                entry_codes.append(code)
+                lists.append(tuples[row])
+                holders.append(0)
+            holders[entry] |= posters[row]
+        return cls(np.array(entry_codes, dtype=np.int64), lists, holders, cell_size)
 
 
 @dataclass
@@ -57,9 +106,12 @@ class PartitionIndex:
     grids: list[GridIndex] = field(default_factory=list)
     config: IndexConfig = field(default_factory=IndexConfig)
     baseline_density: list[float] = field(default_factory=list)
-    # Cached (num_grids, 5) matrix of rectangle bounds + cell size, rebuilt
-    # lazily when the grid list grows (rectangles themselves are immutable).
-    _bounds: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # Cached rectangle corners and cell sizes, rebuilt lazily when the grid
+    # list grows (rectangles themselves are immutable).
+    _bounds: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
+    # The cell table queries probe; every insert and append drops it.
+    _table: _CellTable | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     # building / updating
@@ -78,12 +130,14 @@ class PartitionIndex:
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         if inside is None:
             inside = self._containment_matrix(points, slack=None)
+        self._table = None
         for gi in np.flatnonzero(inside.any(axis=1)).tolist():
             self.grids[gi].insert(traj_ids, points, inside[gi])
         return inside.any(axis=0)
 
     def append_grids(self, other: "PartitionIndex") -> None:
         """Append another PI's rectangles (the *insertion* case of TPI)."""
+        self._table = None
         self.grids.extend(other.grids)
         self.baseline_density.extend(other.baseline_density)
 
@@ -127,70 +181,66 @@ class PartitionIndex:
     # ------------------------------------------------------------------ #
     # lookup
     # ------------------------------------------------------------------ #
-    def lookup(self, x: float, y: float) -> list[int]:
-        """Trajectory IDs whose indexed point shares the grid cell of (x, y)."""
-        result: set[int] = set()
-        for grid in self.grids:
-            if grid.covers(x, y):
-                result.update(grid.lookup(x, y))
-        return sorted(result)
-
     def lookup_batch(self, points: np.ndarray) -> list[list[int]]:
-        """Vectorised :meth:`lookup` for many query points at once.
+        """Trajectory IDs posted at each point's grid cell, one sorted list per point.
 
-        One pass is made over the grids: each grid tests every query point
-        against its rectangle with a single vectorised containment check and
-        resolves all matching queries' cells against its sorted encoded-cell
-        table in one ``searchsorted``.  Entry ``i`` of the result is exactly
-        ``self.lookup(points[i, 0], points[i, 1])``.
+        Only the grids whose rectangle contains the point count.
         """
         points = np.asarray(points, dtype=float).reshape(-1, 2)
-        found: list[set[int]] = [set() for _ in range(len(points))]
-        if len(points) == 0:
-            return []
-        inside = self._containment_matrix(points, slack=None)
-        for gi in np.nonzero(inside.any(axis=1))[0]:
-            grid = self.grids[gi]
-            queries = np.nonzero(inside[gi])[0]
-            codes = encode_cells(grid.cells_of(points[queries]))
-            self._scatter_postings(grid, codes, queries, found)
-        return [sorted(ids) for ids in found]
+        if not self.grids:
+            return [[] for _ in range(len(points))]
+        return self._probe(self._cell_codes(points), range(len(points)),
+                           self._containment_matrix(points, slack=None))
 
     def lookup_local_batch(self, points: np.ndarray, radius: float) -> list[list[int]]:
-        """Vectorised :meth:`lookup_local` for many query points at once.
+        """Local-search lookup (Section 5.2) around each point.
 
-        Same candidate semantics as the scalar version (entry ``i`` equals
-        ``self.lookup_local(points[i, 0], points[i, 1], radius)``), but the
-        rectangle slack test is broadcast over the whole batch and every
-        query's candidate cells are matched against the grid's encoded-cell
-        table with a single ``searchsorted`` per grid.
+        When ``radius`` exceeds the grid cell size every cell intersecting the
+        disc is probed; otherwise the point's cell and its eight neighbours
+        are.  Grids whose rectangle lies within ``radius + g_c`` of the point
+        count even when the point itself falls just outside them (indexed
+        reconstructions deviate from the true positions by up to the CQC
+        bound).  The caller does any distance-based filtering.
         """
         points = np.asarray(points, dtype=float).reshape(-1, 2)
-        found: list[set[int]] = [set() for _ in range(len(points))]
-        if len(points) == 0:
-            return []
-        inside = self._containment_matrix(points, slack=max(radius, 0.0))
-        for gi in np.nonzero(inside.any(axis=1))[0]:
-            grid = self.grids[gi]
-            queries = np.nonzero(inside[gi])[0]
-            if radius > grid.cell_size:
-                per_query_cells = [
-                    cells_within_radius(
-                        (points[qi, 0], points[qi, 1]), radius, (0.0, 0.0), grid.cell_size
-                    )
-                    for qi in queries
-                ]
-                lengths = [len(cells) for cells in per_query_cells]
-                flat = [cell for cells in per_query_cells for cell in cells]
-                codes = encode_cells(np.asarray(flat, dtype=np.int64).reshape(-1, 2))
-                owners = np.repeat(queries, lengths)
-            else:
-                # 3x3 neighbourhood per query, broadcast in one shot.
-                blocks = (grid.cells_of(points[queries])[:, None, :]
-                          + _NEIGHBOR_OFFSETS[None, :, :])
-                codes = encode_cells(blocks).ravel()
-                owners = np.repeat(queries, _NEIGHBOR_OFFSETS.shape[0])
-            self._scatter_postings(grid, codes, owners, found)
+        if not self.grids:
+            return [[] for _ in range(len(points))]
+        cell_size = self._probe_table().cell_size
+        if radius > cell_size:
+            per_query = [cells_within_radius((x, y), radius, (0.0, 0.0), cell_size)
+                         for x, y in points.tolist()]
+            codes = encode_cells(np.asarray(
+                [cell for cells in per_query for cell in cells], dtype=np.int64).reshape(-1, 2))
+            owners = [q for q, cells in enumerate(per_query) for _ in cells]
+        else:
+            codes = (self._cell_codes(points)[:, None] + _NEIGHBOR_CODES).ravel()
+            owners = np.arange(len(points)).repeat(len(_NEIGHBOR_CODES)).tolist()
+        return self._probe(codes, owners, self._containment_matrix(points, slack=max(radius, 0.0)))
+
+    def _cell_codes(self, points: np.ndarray) -> np.ndarray:
+        """Encoded cell of each query point under the PI's one cell size."""
+        return encode_cells(np.floor(points / self._probe_table().cell_size).astype(np.int64))
+
+    def _probe(self, codes: np.ndarray, owners, inside: np.ndarray) -> list[list[int]]:
+        """Union the postings of candidate cells into each query's answer.
+
+        ``codes[k]`` is a candidate cell of query ``owners[k]`` (a query's
+        cells are distinct); ``inside`` is the containment matrix of the
+        queries.  One ``searchsorted`` finds every candidate's entries in
+        the cell table, and an entry counts only when one of its grids
+        contains the query.
+        """
+        table = self._probe_table()
+        # Bit g of passing[q] is set when grid g contains query q.
+        passing = [int.from_bytes(column.tobytes(), "little")
+                   for column in np.packbits(inside, axis=0, bitorder="little").T]
+        found: list[set[int]] = [set() for _ in passing]
+        holders, lists = table.holders, table.lists
+        for owner, first, last in zip(owners, table.codes.searchsorted(codes, "left").tolist(),
+                                      table.codes.searchsorted(codes, "right").tolist()):
+            for entry in range(first, last):
+                if holders[entry] & passing[owner]:
+                    found[owner].update(lists[entry])
         return [sorted(ids) for ids in found]
 
     def _containment_matrix(self, points: np.ndarray, slack: float | None) -> np.ndarray:
@@ -198,74 +248,30 @@ class PartitionIndex:
 
         ``slack`` of ``None`` tests the rectangles as-is, with the same
         closed bounds as :meth:`Rect.contains_points`; otherwise each
-        rectangle is expanded by ``slack + cell_size`` on every side, exactly
-        like the scalar local-search lookup.  One broadcast replaces a
-        Python-level rectangle test per (grid, point) pair.  Row sums are
-        per-rectangle point counts, and ``any(axis=0)`` is the covered mask.
+        rectangle is expanded by ``slack + cell_size`` on every side (the
+        local-search test).  Row sums are per-rectangle point counts, and
+        ``any(axis=0)`` is the covered mask.
         """
-        bounds = self._grid_bounds()
-        if len(bounds) == 0:
-            return np.zeros((0, len(points)), dtype=bool)
-        margin = 0.0 if slack is None else slack + bounds[:, 4]
-        min_x = bounds[:, 0] - margin
-        min_y = bounds[:, 1] - margin
-        max_x = bounds[:, 2] + margin
-        max_y = bounds[:, 3] + margin
-        xs = points[:, 0]
-        ys = points[:, 1]
-        return ((xs >= min_x[:, None]) & (xs <= max_x[:, None])
-                & (ys >= min_y[:, None]) & (ys <= max_y[:, None]))
+        lower, upper, cell_size = self._grid_bounds()
+        if slack is not None:
+            margin = slack + cell_size
+            lower, upper = lower - margin, upper + margin
+        inside = (points >= lower) & (points <= upper)
+        return inside[..., 0] & inside[..., 1]
 
-    def _grid_bounds(self) -> np.ndarray:
-        """Cached per-grid ``(min_x, min_y, max_x, max_y, cell_size)`` rows."""
-        if self._bounds is None or len(self._bounds) != len(self.grids):
-            self._bounds = np.array(
-                [[g.rect.min_x, g.rect.min_y, g.rect.max_x, g.rect.max_y, g.cell_size]
-                 for g in self.grids], dtype=float,
-            ).reshape(len(self.grids), 5)
+    def _grid_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cached rectangle corners ``(G, 1, 2)`` and cell sizes ``(G, 1, 1)``."""
+        if self._bounds is None or len(self._bounds[0]) != len(self.grids):
+            rows = np.array([[g.rect.min_x, g.rect.min_y, g.rect.max_x, g.rect.max_y, g.cell_size]
+                             for g in self.grids], dtype=float).reshape(-1, 1, 5)
+            self._bounds = (rows[..., :2].copy(), rows[..., 2:4].copy(), rows[..., 4:].copy())
         return self._bounds
 
-    @staticmethod
-    def _scatter_postings(grid: GridIndex, codes: np.ndarray, owners: np.ndarray,
-                          found: list[set[int]]) -> None:
-        """Union each matched cell's postings into its owning query's set.
-
-        ``codes`` are encoded candidate cells, ``owners`` the parallel array
-        of query indices.  Cells are matched against the grid's sorted table
-        with one ``searchsorted``; only non-empty cells reach the Python
-        loop.
-        """
-        table_codes, table_postings = grid.encoded_table()
-        if len(table_codes) == 0 or len(codes) == 0:
-            return
-        positions = np.searchsorted(table_codes, codes)
-        positions[positions == len(table_codes)] = 0
-        hits = table_codes[positions] == codes
-        for qi, pos in zip(owners[hits].tolist(), positions[hits].tolist()):
-            found[qi].update(table_postings[pos])
-
-    def lookup_local(self, x: float, y: float, radius: float) -> list[int]:
-        """Local-search lookup (Section 5.2) around ``(x, y)``.
-
-        When ``radius`` exceeds the grid cell size every cell intersecting the
-        disc is scanned; otherwise the query cell and its neighbours are
-        scanned.  Grids whose rectangle lies within ``radius + g_c`` of the
-        query point participate even when the point itself falls just outside
-        them (indexed reconstructions deviate from the true positions by up to
-        the CQC bound).  The caller is responsible for any distance-based
-        filtering of the returned candidates.
-        """
-        result: set[int] = set()
-        for grid in self.grids:
-            slack = max(radius, 0.0) + grid.cell_size
-            if not grid.rect.expanded(slack).contains(x, y):
-                continue
-            if radius > grid.cell_size:
-                cells = cells_within_radius((x, y), radius, (0.0, 0.0), grid.cell_size)
-            else:
-                cells = neighbor_cells(grid.cell_of(x, y))
-            result.update(grid.lookup_cells(cells))
-        return sorted(result)
+    def _probe_table(self) -> _CellTable:
+        """The cell table over all grids, built on first use after a change."""
+        if self._table is None:
+            self._table = _CellTable.build(self.grids)
+        return self._table
 
     # ------------------------------------------------------------------ #
     # statistics

@@ -66,6 +66,8 @@ class TemporalPartitionIndex:
         self.seed = seed
         self.periods: list[TimePeriod] = []
         self.stats = TPIStatistics()
+        # (periods, starts, ends) for period_indices_for; insert_slice drops it.
+        self._bounds: tuple[list[TimePeriod], np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
     # building
@@ -92,6 +94,7 @@ class TemporalPartitionIndex:
         """
         traj_ids = np.asarray(traj_ids, dtype=np.int64)
         points = np.asarray(points, dtype=float)
+        self._bounds = None
         if not self.periods:
             pi = build_partition_index(t, traj_ids, points, self.config, seed=self.seed)
             self.periods.append(TimePeriod(start=int(t), end=int(t), index=pi))
@@ -150,39 +153,16 @@ class TemporalPartitionIndex:
     # ------------------------------------------------------------------ #
     # lookup
     # ------------------------------------------------------------------ #
-    def period_for(self, t: int) -> TimePeriod | None:
-        """The time period containing timestamp ``t`` (binary search)."""
-        lo, hi = 0, len(self.periods) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            period = self.periods[mid]
-            if t < period.start:
-                hi = mid - 1
-            elif t > period.end:
-                lo = mid + 1
-            else:
-                return period
-        return None
-
     def lookup(self, x: float, y: float, t: int) -> list[int]:
         """Trajectory IDs indexed at the grid cell of ``(x, y)`` for time ``t``."""
-        period = self.period_for(int(t))
-        if period is None:
-            return []
-        return period.index.lookup(x, y)
+        return self.lookup_batch([x], [y], [t])[0]
 
     def lookup_local(self, x: float, y: float, t: int, radius: float) -> list[int]:
         """Local-search lookup within ``radius`` (Section 5.2)."""
-        period = self.period_for(int(t))
-        if period is None:
-            return []
-        return period.index.lookup_local(x, y, radius)
+        return self.lookup_local_batch([x], [y], [t], radius)[0]
 
-    # ------------------------------------------------------------------ #
-    # batched lookup
-    # ------------------------------------------------------------------ #
     def period_indices_for(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`period_for`: index into :attr:`periods` per query.
+        """Index into :attr:`periods` of the period covering each timestamp.
 
         Returns an integer array aligned with ``ts``; entries are ``-1`` for
         timestamps not covered by any period.  Periods are non-overlapping
@@ -191,51 +171,57 @@ class TemporalPartitionIndex:
         ts = np.asarray(ts, dtype=np.int64)
         if not self.periods or len(ts) == 0:
             return np.full(len(ts), -1, dtype=np.int64)
-        starts = np.asarray([p.start for p in self.periods], dtype=np.int64)
-        ends = np.asarray([p.end for p in self.periods], dtype=np.int64)
-        idx = np.searchsorted(starts, ts, side="right") - 1
-        clipped = np.clip(idx, 0, len(self.periods) - 1)
-        valid = (idx >= 0) & (ts <= ends[clipped])
-        return np.where(valid, clipped, -1)
+        starts, ends = self._period_bounds()
+        idx = starts.searchsorted(ts, side="right") - 1
+        # A timestamp before the first start gets -1, which reads the last
+        # end: that end is not below the timestamp, so the -1 stays.
+        idx[ts > ends[idx]] = -1
+        return idx
 
     def lookup_batch(self, xs: np.ndarray, ys: np.ndarray, ts: np.ndarray) -> list[list[int]]:
-        """Batched :meth:`lookup`: one candidate list per ``(x, y, t)`` query.
+        """Candidate IDs of many ``(x, y, t)`` queries, one sorted list each.
 
         Queries are grouped by the time period covering their timestamp and
-        each period's PI is scanned once for all of its queries, so the cost
-        of iterating rectangles is paid per period instead of per query.
-        Entry ``i`` equals ``self.lookup(xs[i], ys[i], ts[i])``.
+        each period's PI answers all of its queries at once
+        (:meth:`PartitionIndex.lookup_batch`).
         """
         return self._dispatch_batch(xs, ys, ts, radius=None)
 
     def lookup_local_batch(self, xs: np.ndarray, ys: np.ndarray, ts: np.ndarray,
                            radius: float) -> list[list[int]]:
-        """Batched :meth:`lookup_local`; entry ``i`` matches the scalar call."""
+        """Local-search candidates of many queries (Section 5.2), one list each."""
         return self._dispatch_batch(xs, ys, ts, radius=radius)
 
     def _dispatch_batch(self, xs: np.ndarray, ys: np.ndarray, ts: np.ndarray,
                         radius: float | None) -> list[list[int]]:
-        """Group queries by period and fan them out to the per-period PIs."""
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+        """Group queries by period in one pass and hand each group to its PI."""
+        points = np.column_stack([np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)])
         ts = np.asarray(ts, dtype=np.int64)
-        if not (len(xs) == len(ys) == len(ts)):
+        if len(points) != len(ts):
             raise ValueError("xs, ys and ts must be aligned")
         results: list[list[int]] = [[] for _ in range(len(ts))]
-        period_idx = self.period_indices_for(ts)
-        points = np.column_stack([xs, ys]) if len(ts) else np.empty((0, 2))
-        for pidx in np.unique(period_idx):
-            if pidx < 0:
-                continue
-            queries = np.nonzero(period_idx == pidx)[0]
-            pi = self.periods[int(pidx)].index
+        groups: dict[int, list[int]] = {}
+        for position, period in enumerate(self.period_indices_for(ts).tolist()):
+            if period >= 0:
+                groups.setdefault(period, []).append(position)
+        for period, positions in groups.items():
+            pi = self.periods[period].index
             if radius is None:
-                answers = pi.lookup_batch(points[queries])
+                answers = pi.lookup_batch(points[positions])
             else:
-                answers = pi.lookup_local_batch(points[queries], radius)
-            for qi, ids in zip(queries, answers):
-                results[int(qi)] = ids
+                answers = pi.lookup_local_batch(points[positions], radius)
+            for position, ids in zip(positions, answers):
+                results[position] = ids
         return results
+
+    def _period_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end arrays of :attr:`periods`, kept until the periods change."""
+        bounds = self._bounds
+        if bounds is None or bounds[0] is not self.periods or len(bounds[1]) != len(self.periods):
+            starts = np.array([p.start for p in self.periods], dtype=np.int64)
+            ends = np.array([p.end for p in self.periods], dtype=np.int64)
+            self._bounds = bounds = (self.periods, starts, ends)
+        return bounds[1], bounds[2]
 
     # ------------------------------------------------------------------ #
     # statistics

@@ -1,11 +1,16 @@
 """Spatio-temporal query processing over quantized trajectories (Section 5.2).
 
+There is one query path: :mod:`repro.queries.batch` answers many queries at
+once, and every single-query function is a batch of one.
+
+* :mod:`repro.queries.batch` -- the implementation of all three query kinds
+  (:func:`batch_strq`, :func:`batch_tpq`, :func:`batch_exact`), their result
+  types, and the :class:`QuerySpec` / :class:`Workload` description of mixed
+  workloads.
 * :mod:`repro.queries.strq` -- spatio-temporal range queries (Definition 5.2).
 * :mod:`repro.queries.tpq` -- trajectory path queries (Definition 5.3).
 * :mod:`repro.queries.exact` -- exact-match filtering with the CQC-driven
   local-search strategy.
-* :mod:`repro.queries.batch` -- batched execution of mixed workloads with
-  vectorised index scans and cached slice reconstructions.
 * :mod:`repro.queries.engine` -- :class:`QueryEngine`, a convenience object
   tying a summary and a TPI together and exposing all query types, and
   :class:`QueryError`, the result slot of a query that failed inside an

@@ -1,22 +1,20 @@
-"""Batched query execution: answer many queries with shared index scans.
+"""The one query implementation: STRQ, TPQ and exact-match over many queries.
 
-The scalar query functions (:mod:`repro.queries.strq`, :mod:`~.tpq`,
-:mod:`~.exact`) reconstruct and scan per call.  This module amortises that
-work across a whole workload:
+Every query runs here.  The scalar functions (:mod:`repro.queries.strq`,
+:mod:`~.tpq`, :mod:`~.exact`) and the :class:`~repro.queries.engine.QueryEngine`
+methods each answer a batch of one, so there is one candidate-generation
+path (Section 5.2): the TPI groups queries by time period
+(:meth:`TemporalPartitionIndex.lookup_batch` and
+:meth:`~TemporalPartitionIndex.lookup_local_batch`), and each period's PI
+probes its one cell table for all of its queries.  STRQ and exact-match
+reconstructions come from the summary's LRU slice cache
+(:meth:`TrajectorySummary.reconstruct_point_cached`); TPQ paths are read
+straight from the summary.  Mixed workloads (STRQ + TPQ + exact-match) are
+described by :class:`QuerySpec` / :class:`Workload` and run in one call
+through :meth:`repro.queries.engine.QueryEngine.run_batch`.
 
-* candidate generation is pushed down into the vectorised TPI/PI lookups
-  (:meth:`TemporalPartitionIndex.lookup_batch` and friends), which group
-  queries by time period and scan each period's rectangles once;
-* reconstructions are served from the summary's LRU slice cache
-  (:meth:`TrajectorySummary.reconstruct_slice`), so a timestamp touched by
-  many queries is reconstructed once per batch;
-* mixed workloads (STRQ + TPQ + exact-match) are described by
-  :class:`QuerySpec` / :class:`Workload` and executed in one call through
-  :meth:`repro.queries.engine.QueryEngine.run_batch`.
-
-Results are guaranteed to be identical, query by query, to running the
-scalar functions in a loop -- the equivalence tests in
-``tests/test_queries_batch.py`` enforce this on randomized workloads.
+The brute-force oracle tests in ``tests/test_queries_batch.py`` check the
+answers against a plain-Python scan of every grid's postings.
 """
 
 from __future__ import annotations
@@ -32,11 +30,76 @@ from repro.core.summary import TrajectorySummary
 from repro.cqc.local_search import search_radius
 from repro.data.trajectory import TrajectoryDataset
 from repro.index.tpi import TemporalPartitionIndex
-from repro.queries.exact import ExactQueryResult, could_match_mask, verify_against_raw
-from repro.queries.strq import STRQResult
-from repro.queries.tpq import TPQResult
 
 QUERY_KINDS = ("strq", "tpq", "exact")
+
+
+@dataclass
+class STRQResult:
+    """Result of one spatio-temporal range query (Definition 5.2).
+
+    Attributes
+    ----------
+    x, y, t:
+        The query.
+    candidates:
+        Trajectory IDs returned by the index lookup (the approximate answer).
+    reconstructed:
+        Mapping trajectory ID -> reconstructed position, filled when a
+        summary was supplied to refine/inspect the answer.
+    """
+
+    x: float
+    y: float
+    t: int
+    candidates: list[int] = field(default_factory=list)
+    reconstructed: dict[int, np.ndarray] = field(default_factory=dict)
+
+
+@dataclass
+class TPQResult:
+    """Result of one trajectory path query (Definition 5.3).
+
+    Attributes
+    ----------
+    x, y, t, length:
+        The query.
+    paths:
+        Mapping trajectory ID -> array of shape ``(m, 2)`` with the
+        reconstructed positions for timestamps ``t .. t+length-1``
+        (``m <= length`` if a trajectory ends early).
+    """
+
+    x: float
+    y: float
+    t: int
+    length: int
+    paths: dict[int, np.ndarray] = field(default_factory=dict)
+
+
+@dataclass
+class ExactQueryResult:
+    """Result of an exact-match query (Section 6.2.3).
+
+    Attributes
+    ----------
+    x, y, t:
+        The query (a grid-cell membership test at time ``t``).
+    candidates:
+        Trajectory IDs surviving the summary-based filter.
+    matches:
+        Trajectory IDs confirmed against the raw data.
+    visited_ratio:
+        ``len(candidates) / total active trajectories`` -- the fraction of
+        trajectories whose raw data had to be accessed.
+    """
+
+    x: float
+    y: float
+    t: int
+    candidates: list[int] = field(default_factory=list)
+    matches: list[int] = field(default_factory=list)
+    visited_ratio: float = 0.0
 
 
 class WorkloadError(ValueError):
@@ -191,34 +254,33 @@ class Workload:
 def batch_strq(index: TemporalPartitionIndex, queries: Sequence,
                summary: TrajectorySummary | None = None,
                local_search_radius: float | None = None) -> list[STRQResult]:
-    """Answer many STRQs with one vectorised index pass.
+    """Answer STRQs (Definition 5.2), one result per query.
 
     Parameters
     ----------
     index:
         The TPI over (reconstructed or raw) points.
     queries:
-        Sequence of ``(x, y, t)`` triples (extra trailing elements, e.g. the
-        ``traj_id`` of benchmark probes, are ignored).
+        Sequence of ``(x, y, t)`` triples or :class:`QuerySpec` entries
+        (extra trailing tuple elements, e.g. the ``traj_id`` of benchmark
+        probes, are ignored).
     summary:
-        Optional summary used to attach reconstructed positions, exactly as
-        in :func:`~repro.queries.strq.spatio_temporal_range_query`.
+        Optional summary; each candidate's reconstructed position at ``t``
+        is attached to its result.
     local_search_radius:
-        When given, local-search candidate generation is used (Section 5.2).
-
-    Entry ``i`` of the result is identical to the scalar call on query ``i``.
+        When given, the local-search strategy of Section 5.2 is used: cells
+        within this radius (``√2/2 · g_s``) are probed in addition to the
+        query cell, which makes the candidate list a superset of the true
+        answer (recall 1).
     """
     xs, ys, ts = _query_columns(queries)
-    if local_search_radius is not None:
-        candidate_lists = index.lookup_local_batch(xs, ys, ts, radius=local_search_radius)
-    else:
-        candidate_lists = index.lookup_batch(xs, ys, ts)
+    candidate_lists = _candidates(index, xs, ys, ts, local_search_radius)
     results = []
-    for x, y, t, candidates in zip(xs, ys, ts, candidate_lists):
-        result = STRQResult(x=float(x), y=float(y), t=int(t), candidates=list(candidates))
+    for x, y, t, candidates in zip(xs.tolist(), ys.tolist(), ts.tolist(), candidate_lists):
+        result = STRQResult(x=x, y=y, t=t, candidates=candidates)
         if summary is not None:
             for tid in candidates:
-                point = summary.reconstruct_point_cached(tid, int(t))
+                point = summary.reconstruct_point_cached(tid, t)
                 if point is not None:
                     result.reconstructed[tid] = point
         results.append(result)
@@ -227,23 +289,20 @@ def batch_strq(index: TemporalPartitionIndex, queries: Sequence,
 
 def batch_tpq(index: TemporalPartitionIndex, summary: TrajectorySummary,
               queries: Sequence, local_search_radius: float | None = None) -> list[TPQResult]:
-    """Answer many TPQs, sharing candidate scans and slice reconstructions.
+    """Answer TPQs (Definition 5.3): the STRQ candidates' next positions.
 
-    ``queries`` is a sequence of ``(x, y, t, length)`` tuples.  Candidate
-    generation is one batched STRQ pass; path reconstruction walks the
-    summary's cached slices so overlapping path windows across queries are
-    reconstructed once.
+    ``queries`` is a sequence of ``(x, y, t, length)`` tuples or
+    :class:`QuerySpec` entries.  Each candidate's path over ``t ..
+    t+length-1`` is reconstructed from the summary, without the raw data.
     """
     xs, ys, ts, lengths = _query_columns_tpq(queries)
-    if local_search_radius is not None:
-        candidate_lists = index.lookup_local_batch(xs, ys, ts, radius=local_search_radius)
-    else:
-        candidate_lists = index.lookup_batch(xs, ys, ts)
+    candidate_lists = _candidates(index, xs, ys, ts, local_search_radius)
     results = []
-    for x, y, t, length, candidates in zip(xs, ys, ts, lengths, candidate_lists):
-        result = TPQResult(x=float(x), y=float(y), t=int(t), length=int(length))
+    for x, y, t, length, candidates in zip(xs.tolist(), ys.tolist(), ts.tolist(),
+                                           lengths.tolist(), candidate_lists):
+        result = TPQResult(x=x, y=y, t=t, length=length)
         for tid in candidates:
-            path = summary.reconstruct_path(tid, int(t), int(length), cached=True)
+            path = summary.reconstruct_path(tid, t, length)
             if len(path):
                 result.paths[tid] = path
         results.append(result)
@@ -251,28 +310,32 @@ def batch_tpq(index: TemporalPartitionIndex, summary: TrajectorySummary,
 
 
 def batch_exact(index: TemporalPartitionIndex, summary: TrajectorySummary,
-                dataset: TrajectoryDataset, queries: Sequence,
+                dataset: TrajectoryDataset | None, queries: Sequence,
                 cell_size: float) -> list[ExactQueryResult]:
-    """Answer many exact-match queries with shared scans and broadcast filters.
+    """Exact STRQs (Section 6.2.3): filter with the summary, verify on raw data.
 
-    Mirrors :func:`~repro.queries.exact.exact_match_query` query by query:
-    batched local-search candidate generation, a broadcast reconstruction
-    pre-filter (one :func:`could_match_mask` call per query instead of a
-    Python loop over candidates) and raw-data verification of the survivors.
+    Local-search candidates (plain lookup without CQC) whose refined
+    reconstruction at ``t`` cannot lie in the query's ``g_c`` cell
+    (:func:`could_match_mask`) are dropped; the raw points of the rest are
+    checked (:func:`verify_against_raw`).  A raw point matches when it falls
+    into the same ``cell_size`` cell as the query.
+
+    Raises
+    ------
+    RuntimeError
+        When ``dataset`` is ``None``.
     """
+    if dataset is None:
+        raise RuntimeError("exact queries require the raw dataset")
     xs, ys, ts = _query_columns(queries)
     radius = None
     if summary.cqc_coder is not None:
         radius = search_radius(summary.cqc_coder.grid_size)
-    if radius is not None:
-        candidate_lists = index.lookup_local_batch(xs, ys, ts, radius=radius)
-    else:
-        candidate_lists = index.lookup_batch(xs, ys, ts)
+    candidate_lists = _candidates(index, xs, ys, ts, radius)
     slack = radius if radius is not None else 0.0
     active_at: dict[int, int] = {}
     results = []
-    for x, y, t, candidates in zip(xs, ys, ts, candidate_lists):
-        t = int(t)
+    for x, y, t, candidates in zip(xs.tolist(), ys.tolist(), ts.tolist(), candidate_lists):
         cell_x = np.floor(x / cell_size)
         cell_y = np.floor(y / cell_size)
         present = []
@@ -292,16 +355,56 @@ def batch_exact(index: TemporalPartitionIndex, summary: TrajectorySummary,
             active_at[t] = len(dataset.time_slice(t))
         active = active_at[t]
         results.append(ExactQueryResult(
-            x=float(x), y=float(y), t=t,
+            x=x, y=y, t=t,
             candidates=filtered, matches=matches,
             visited_ratio=len(filtered) / active if active else 0.0,
         ))
     return results
 
 
+def verify_against_raw(dataset: TrajectoryDataset, candidates, t: int, cell_x: float,
+                       cell_y: float, cell_size: float) -> list[int]:
+    """Confirm candidates whose raw point at ``t`` falls in the query cell."""
+    matches = []
+    for tid in candidates:
+        if tid not in dataset:
+            continue
+        raw = dataset.get(tid).point_at(int(t))
+        if raw is None:
+            continue
+        if np.floor(raw[0] / cell_size) == cell_x and np.floor(raw[1] / cell_size) == cell_y:
+            matches.append(tid)
+    return matches
+
+
+def could_match_mask(points: np.ndarray, cell_x: float, cell_y: float, cell_size: float,
+                     slack: float) -> np.ndarray:
+    """Vectorised pre-filter: which reconstructed points could match the cell.
+
+    A reconstructed point can correspond to a raw point inside the query's
+    ``g_c`` cell only if it lies within the cell expanded by ``slack`` (the
+    CQC deviation bound) on every side.  Broadcasts over an ``(n, 2)`` array.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    min_x = cell_x * cell_size - slack
+    max_x = (cell_x + 1) * cell_size + slack
+    min_y = cell_y * cell_size - slack
+    max_y = (cell_y + 1) * cell_size + slack
+    return ((points[:, 0] >= min_x) & (points[:, 0] <= max_x)
+            & (points[:, 1] >= min_y) & (points[:, 1] <= max_y))
+
+
 # ---------------------------------------------------------------------- #
 # internals
 # ---------------------------------------------------------------------- #
+def _candidates(index: TemporalPartitionIndex, xs: np.ndarray, ys: np.ndarray,
+                ts: np.ndarray, radius: float | None) -> list[list[int]]:
+    """Index candidates per query: local search with a radius, else the plain cell."""
+    if radius is not None:
+        return index.lookup_local_batch(xs, ys, ts, radius=radius)
+    return index.lookup_batch(xs, ys, ts)
+
+
 def _query_columns(queries: Iterable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split ``(x, y, t, ...)`` tuples or specs into aligned column arrays."""
     xs, ys, ts = [], [], []

@@ -18,10 +18,16 @@ from repro.core.summary import TrajectorySummary
 from repro.cqc.local_search import search_radius
 from repro.data.trajectory import Trajectory, TrajectoryDataset
 from repro.index.tpi import TemporalPartitionIndex
-from repro.queries.batch import QuerySpec, Workload, batch_exact, batch_strq, batch_tpq
-from repro.queries.exact import ExactQueryResult, exact_match_query
-from repro.queries.strq import STRQResult, spatio_temporal_range_query
-from repro.queries.tpq import TPQResult, trajectory_path_query
+from repro.queries.batch import (
+    ExactQueryResult,
+    QuerySpec,
+    STRQResult,
+    TPQResult,
+    Workload,
+    batch_exact,
+    batch_strq,
+    batch_tpq,
+)
 
 
 @dataclass(frozen=True)
@@ -108,39 +114,31 @@ class QueryEngine:
         return search_radius(self.summary.cqc_coder.grid_size)
 
     def strq(self, x: float, y: float, t: int, local_search: bool = True) -> STRQResult:
-        """Spatio-temporal range query (Definition 5.2)."""
-        radius = self.local_search_radius if local_search else None
-        return spatio_temporal_range_query(
-            self.index, x, y, t, summary=self.summary, local_search_radius=radius
-        )
+        """Spatio-temporal range query (Definition 5.2), a batch of one."""
+        return batch_strq(
+            self.index, [(x, y, t)], summary=self.summary,
+            local_search_radius=self.local_search_radius if local_search else None)[0]
 
     def tpq(self, x: float, y: float, t: int, length: int,
             local_search: bool = True) -> TPQResult:
-        """Trajectory path query (Definition 5.3)."""
-        radius = self.local_search_radius if local_search else None
-        return trajectory_path_query(
-            self.index, self.summary, x, y, t, length, local_search_radius=radius
-        )
+        """Trajectory path query (Definition 5.3), a batch of one."""
+        return batch_tpq(
+            self.index, self.summary, [(x, y, t, length)],
+            local_search_radius=self.local_search_radius if local_search else None)[0]
 
     def exact(self, x: float, y: float, t: int) -> ExactQueryResult:
-        """Exact-match query; requires the raw dataset for verification."""
-        if self.raw_dataset is None:
-            raise RuntimeError("exact queries require the raw dataset")
-        return exact_match_query(
-            self.index, self.summary, self.raw_dataset, x, y, t,
-            cell_size=self.index_config.grid_cell,
-        )
+        """Exact-match query, a batch of one; requires the raw dataset."""
+        return batch_exact(self.index, self.summary, self.raw_dataset, [(x, y, t)],
+                           cell_size=self.index_config.grid_cell)[0]
 
     def run_batch(self, workload, isolate: bool = False
                   ) -> list[STRQResult | TPQResult | ExactQueryResult | QueryError]:
         """Execute a mixed STRQ/TPQ/exact workload with shared scans.
 
         Queries are grouped by kind and answered through the batched
-        functions of :mod:`repro.queries.batch`: candidate generation is one
-        vectorised TPI pass per kind, and reconstructions are shared through
-        the summary's LRU slice cache.  Results come back in workload order
-        and are identical to running each query through :meth:`strq`,
-        :meth:`tpq` or :meth:`exact` individually.
+        functions of :mod:`repro.queries.batch`, the same ones :meth:`strq`,
+        :meth:`tpq` and :meth:`exact` call with a batch of one.  Results come
+        back in workload order.
 
         Parameters
         ----------
@@ -151,11 +149,11 @@ class QueryEngine:
             TPQ, ``length``).
         isolate:
             With ``isolate=True`` one failing query cannot abort the
-            workload: if a kind's batched pass raises, its queries are
-            re-run individually and each failure is returned as a
-            structured :class:`QueryError` in that query's result slot
-            (successes keep their normal result objects).  The default
-            re-raises the first error.
+            workload: if a kind's batch raises, its queries are re-run as
+            batches of one and each failure is returned as a structured
+            :class:`QueryError` in that query's result slot (successes keep
+            their normal result objects).  The default re-raises the first
+            error.
 
         Examples
         --------
@@ -174,62 +172,32 @@ class QueryEngine:
         by_kind: dict[str, list[int]] = {"strq": [], "tpq": [], "exact": []}
         for position, spec in enumerate(specs):
             by_kind[spec.kind].append(position)
-        if by_kind["exact"] and self.raw_dataset is None and not isolate:
-            raise RuntimeError("exact queries require the raw dataset")
-
-        results: list = [None] * len(specs)
         batches = {
-            "strq": lambda positions: batch_strq(
-                self.index, [specs[i] for i in positions],
-                summary=self.summary, local_search_radius=radius,
-            ),
-            "tpq": lambda positions: batch_tpq(
-                self.index, self.summary, [specs[i] for i in positions],
-                local_search_radius=radius,
-            ),
-            "exact": lambda positions: batch_exact(
-                self.index, self.summary, self.raw_dataset,
-                [specs[i] for i in positions],
-                cell_size=self.index_config.grid_cell,
-            ),
+            "strq": lambda batch: batch_strq(self.index, batch, summary=self.summary,
+                                             local_search_radius=radius),
+            "tpq": lambda batch: batch_tpq(self.index, self.summary, batch,
+                                           local_search_radius=radius),
+            "exact": lambda batch: batch_exact(self.index, self.summary, self.raw_dataset,
+                                               batch, cell_size=self.index_config.grid_cell),
         }
+        results: list = [None] * len(specs)
         for kind, positions in by_kind.items():
             if not positions:
                 continue
-            if kind == "exact" and self.raw_dataset is None:
-                # Only reachable with isolate=True (checked above).
-                error = RuntimeError("exact queries require the raw dataset")
-                for position in positions:
-                    results[position] = QueryError.from_exception(position, kind, error)
-                continue
             try:
-                answers = batches[kind](positions)
+                answers = batches[kind]([specs[i] for i in positions])
             except Exception:
                 if not isolate:
                     raise
-                self._run_isolated(specs, positions, results)
-            else:
-                for position, answer in zip(positions, answers):
-                    results[position] = answer
+                answers = []
+                for position in positions:
+                    try:
+                        answers.append(batches[kind]([specs[position]])[0])
+                    except Exception as exc:  # noqa: BLE001 - converted to a record
+                        answers.append(QueryError.from_exception(position, kind, exc))
+            for position, answer in zip(positions, answers):
+                results[position] = answer
         return results
-
-    def _run_isolated(self, specs: list[QuerySpec], positions: list[int],
-                      results: list) -> None:
-        """Scalar fallback for one kind's batch: per-query error isolation."""
-        for position in positions:
-            spec = specs[position]
-            try:
-                results[position] = self._run_scalar(spec)
-            except Exception as exc:  # noqa: BLE001 - converted to a record
-                results[position] = QueryError.from_exception(position, spec.kind, exc)
-
-    def _run_scalar(self, spec: QuerySpec):
-        """Answer one query spec through the scalar methods."""
-        if spec.kind == "strq":
-            return self.strq(spec.x, spec.y, spec.t)
-        if spec.kind == "tpq":
-            return self.tpq(spec.x, spec.y, spec.t, spec.length)
-        return self.exact(spec.x, spec.y, spec.t)
 
     @staticmethod
     def _normalize_workload(workload) -> list[QuerySpec]:

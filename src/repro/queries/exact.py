@@ -5,43 +5,27 @@ search around the query point produces a small candidate list (guaranteed to
 contain every true match thanks to Lemma 3), and only those candidates'
 original trajectories are accessed for verification.  The fraction of
 trajectories visited in the second step is the efficiency measure of Table 4.
+
+A single exact-match query is a batch of one: :func:`exact_match_query`
+wraps :func:`~repro.queries.batch.batch_exact`, the one implementation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.core.summary import TrajectorySummary
-from repro.cqc.local_search import search_radius
 from repro.data.trajectory import TrajectoryDataset
 from repro.index.tpi import TemporalPartitionIndex
+from repro.queries.batch import (
+    ExactQueryResult,
+    batch_exact,
+    could_match_mask,
+    verify_against_raw,
+)
 
-
-@dataclass
-class ExactQueryResult:
-    """Result of an exact-match query.
-
-    Attributes
-    ----------
-    x, y, t:
-        The query (a grid-cell membership test at time ``t``).
-    candidates:
-        Trajectory IDs surviving the summary-based filter.
-    matches:
-        Trajectory IDs confirmed against the raw data.
-    visited_ratio:
-        ``len(candidates) / total active trajectories`` -- the fraction of
-        trajectories whose raw data had to be accessed.
-    """
-
-    x: float
-    y: float
-    t: int
-    candidates: list[int] = field(default_factory=list)
-    matches: list[int] = field(default_factory=list)
-    visited_ratio: float = 0.0
+__all__ = ["ExactQueryResult", "exact_match_query", "verify_against_raw",
+           "ground_truth_cell_members", "could_match_mask"]
 
 
 def exact_match_query(index: TemporalPartitionIndex, summary: TrajectorySummary,
@@ -49,64 +33,10 @@ def exact_match_query(index: TemporalPartitionIndex, summary: TrajectorySummary,
                       cell_size: float) -> ExactQueryResult:
     """Exact STRQ: filter with the summary, verify against the raw data.
 
-    Parameters
-    ----------
-    index:
-        TPI built over the reconstructed points.
-    summary:
-        The quantized summary (used for the local-search radius and the
-        reconstruction-based pre-filter).
-    dataset:
-        The raw trajectories (accessed only for the surviving candidates).
-    x, y, t:
-        Query location and timestamp.
-    cell_size:
-        Query grid cell size ``g_c``; a raw point matches when it falls into
-        the same ``g_c`` cell as ``(x, y)``.
+    ``cell_size`` is the query grid cell ``g_c``; a raw point matches when it
+    falls into the same ``g_c`` cell as ``(x, y)``.
     """
-    radius = None
-    if summary.cqc_coder is not None:
-        radius = search_radius(summary.cqc_coder.grid_size)
-    candidates = (index.lookup_local(x, y, int(t), radius=radius)
-                  if radius is not None else index.lookup(x, y, int(t)))
-
-    # Pre-filter on reconstructed points: candidates whose refined
-    # reconstruction is farther than radius + cell diagonal cannot match.
-    filtered: list[int] = []
-    cell_x = np.floor(x / cell_size)
-    cell_y = np.floor(y / cell_size)
-    slack = radius if radius is not None else 0.0
-    for tid in candidates:
-        point = summary.reconstruct_point(tid, int(t))
-        if point is None:
-            continue
-        if _could_match(point, cell_x, cell_y, cell_size, slack):
-            filtered.append(tid)
-
-    # Verification step against the raw data.
-    matches = verify_against_raw(dataset, filtered, int(t), cell_x, cell_y, cell_size)
-
-    active = len(dataset.time_slice(int(t)))
-    visited_ratio = len(filtered) / active if active else 0.0
-    return ExactQueryResult(
-        x=float(x), y=float(y), t=int(t),
-        candidates=filtered, matches=matches, visited_ratio=visited_ratio,
-    )
-
-
-def verify_against_raw(dataset: TrajectoryDataset, candidates, t: int, cell_x: float,
-                       cell_y: float, cell_size: float) -> list[int]:
-    """Confirm candidates whose raw point at ``t`` falls in the query cell."""
-    matches = []
-    for tid in candidates:
-        if tid not in dataset:
-            continue
-        raw = dataset.get(tid).point_at(int(t))
-        if raw is None:
-            continue
-        if np.floor(raw[0] / cell_size) == cell_x and np.floor(raw[1] / cell_size) == cell_y:
-            matches.append(tid)
-    return matches
+    return batch_exact(index, summary, dataset, [(x, y, t)], cell_size=cell_size)[0]
 
 
 def ground_truth_cell_members(dataset: TrajectoryDataset, x: float, y: float, t: int,
@@ -120,26 +50,3 @@ def ground_truth_cell_members(dataset: TrajectoryDataset, x: float, y: float, t:
     cells = np.floor(slice_.points / cell_size)
     mask = (cells[:, 0] == cell_x) & (cells[:, 1] == cell_y)
     return sorted(int(tid) for tid in slice_.traj_ids[mask])
-
-
-def could_match_mask(points: np.ndarray, cell_x: float, cell_y: float, cell_size: float,
-                     slack: float) -> np.ndarray:
-    """Vectorised pre-filter: which reconstructed points could match the cell.
-
-    A reconstructed point can correspond to a raw point inside the query's
-    ``g_c`` cell only if it lies within the cell expanded by ``slack`` (the
-    CQC deviation bound) on every side.  Broadcasts over an ``(n, 2)`` array.
-    """
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    min_x = cell_x * cell_size - slack
-    max_x = (cell_x + 1) * cell_size + slack
-    min_y = cell_y * cell_size - slack
-    max_y = (cell_y + 1) * cell_size + slack
-    return ((points[:, 0] >= min_x) & (points[:, 0] <= max_x)
-            & (points[:, 1] >= min_y) & (points[:, 1] <= max_y))
-
-
-def _could_match(point: np.ndarray, cell_x: float, cell_y: float, cell_size: float,
-                 slack: float) -> bool:
-    """Whether a reconstructed point could correspond to a raw point in the cell."""
-    return bool(could_match_mask(point, cell_x, cell_y, cell_size, slack)[0])

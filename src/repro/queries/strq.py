@@ -6,68 +6,23 @@ trajectories that are located in the grid cell containing ``(x, y)`` at time
 approximate answer can optionally be refined against the summary's
 reconstructed points (the precision/recall measured in Table 2 compares this
 approximate answer to the ground truth computed from the raw data).
+
+A single STRQ is a batch of one: :func:`spatio_temporal_range_query` wraps
+:func:`~repro.queries.batch.batch_strq`, the one implementation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
 from repro.core.summary import TrajectorySummary
 from repro.index.tpi import TemporalPartitionIndex
+from repro.queries.batch import STRQResult, batch_strq
 
-
-@dataclass
-class STRQResult:
-    """Result of one spatio-temporal range query.
-
-    Attributes
-    ----------
-    x, y, t:
-        The query.
-    candidates:
-        Trajectory IDs returned by the index lookup (the approximate answer).
-    reconstructed:
-        Mapping trajectory ID -> reconstructed position, filled when a
-        summary was supplied to refine/inspect the answer.
-    """
-
-    x: float
-    y: float
-    t: int
-    candidates: list[int] = field(default_factory=list)
-    reconstructed: dict[int, np.ndarray] = field(default_factory=dict)
+__all__ = ["STRQResult", "spatio_temporal_range_query"]
 
 
 def spatio_temporal_range_query(index: TemporalPartitionIndex, x: float, y: float, t: int,
                                 summary: TrajectorySummary | None = None,
                                 local_search_radius: float | None = None) -> STRQResult:
-    """Answer an STRQ over the quantized representation.
-
-    Parameters
-    ----------
-    index:
-        The temporal partition-based index over (reconstructed or raw) points.
-    x, y, t:
-        The query location and timestamp.
-    summary:
-        Optional summary used to attach reconstructed positions to the
-        candidates (needed by TPQ and by exact filtering).
-    local_search_radius:
-        When given, the local-search strategy of Section 5.2 is used: cells
-        within this radius (``√2/2 · g_s``) are scanned in addition to the
-        query cell, which makes the candidate list a superset of the true
-        answer (recall 1).
-    """
-    if local_search_radius is not None:
-        candidates = index.lookup_local(x, y, int(t), radius=local_search_radius)
-    else:
-        candidates = index.lookup(x, y, int(t))
-    result = STRQResult(x=float(x), y=float(y), t=int(t), candidates=list(candidates))
-    if summary is not None:
-        for tid in candidates:
-            point = summary.reconstruct_point(tid, int(t))
-            if point is not None:
-                result.reconstructed[tid] = point
-    return result
+    """Answer one STRQ; the arguments are those of :func:`~repro.queries.batch.batch_strq`."""
+    return batch_strq(index, [(x, y, t)], summary=summary,
+                      local_search_radius=local_search_radius)[0]

@@ -4,66 +4,23 @@ Given ``(x, y, t)`` and a path duration ``l``, the TPQ first answers the STRQ
 at ``(x, y, t)`` and then reproduces, directly from the indexed summary, the
 next ``l`` positions of every retrieved trajectory -- without touching the
 raw data and without reconstructing whole trajectories.
+
+A single TPQ is a batch of one: :func:`trajectory_path_query` wraps
+:func:`~repro.queries.batch.batch_tpq`, the one implementation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
 from repro.core.summary import TrajectorySummary
 from repro.index.tpi import TemporalPartitionIndex
-from repro.queries.strq import spatio_temporal_range_query
+from repro.queries.batch import TPQResult, batch_tpq
 
-
-@dataclass
-class TPQResult:
-    """Result of one trajectory path query.
-
-    Attributes
-    ----------
-    x, y, t, length:
-        The query.
-    paths:
-        Mapping trajectory ID -> array of shape ``(m, 2)`` with the
-        reconstructed positions for timestamps ``t .. t+length-1``
-        (``m <= length`` if a trajectory ends early).
-    """
-
-    x: float
-    y: float
-    t: int
-    length: int
-    paths: dict[int, np.ndarray] = field(default_factory=dict)
+__all__ = ["TPQResult", "trajectory_path_query"]
 
 
 def trajectory_path_query(index: TemporalPartitionIndex, summary: TrajectorySummary,
                           x: float, y: float, t: int, length: int,
                           local_search_radius: float | None = None) -> TPQResult:
-    """Answer a TPQ: STRQ at ``(x, y, t)`` followed by path reconstruction."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    strq = spatio_temporal_range_query(
-        index, x, y, t, summary=None, local_search_radius=local_search_radius
-    )
-    result = TPQResult(x=float(x), y=float(y), t=int(t), length=int(length))
-    for tid in strq.candidates:
-        path = summary.reconstruct_path(tid, int(t), int(length))
-        if len(path):
-            result.paths[tid] = path
-    return result
-
-
-def reconstruct_paths_for_ids(summary: TrajectorySummary, traj_ids, t: int,
-                              length: int) -> dict[int, np.ndarray]:
-    """Reconstruct fixed-ID paths (used by the Table 3 benchmark).
-
-    The paper measures TPQ MAE on the *same* 10 000 trajectory IDs for every
-    method so that differences in STRQ recall do not contaminate the
-    comparison; this helper reproduces exactly that protocol.
-    """
-    return {
-        int(tid): summary.reconstruct_path(int(tid), int(t), int(length))
-        for tid in traj_ids
-    }
+    """Answer one TPQ: STRQ at ``(x, y, t)`` followed by path reconstruction."""
+    return batch_tpq(index, summary, [(x, y, t, length)],
+                     local_search_radius=local_search_radius)[0]

@@ -315,6 +315,12 @@ def _decode_index(payload: bytes, config: IndexConfig) -> TemporalPartitionIndex
             and np.all(grids[:, 1] <= grids[:, 3]) and np.all(grids[:, 4] > 0)):
         raise ArtifactFormatError("INDEX holds a non-finite value, a degenerate rectangle "
                                   "or a non-positive cell size")
+    if np.any(grids[:, 4] != config.grid_cell):
+        raise ArtifactFormatError(f"INDEX holds a grid whose cell size is not CONFIG's "
+                                  f"grid_cell {config.grid_cell}")
+    if np.any(periods[:, 0] > periods[:, 1]) or np.any(periods[1:, 0] <= periods[:-1, 1]):
+        raise ArtifactFormatError("INDEX periods are not ascending and disjoint "
+                                  "(start <= end, each start after the previous end)")
 
     cell_keys = list(zip(cells[:, 0].tolist(), cells[:, 1].tolist()))
     id_list, id_bounds = ids.tolist(), id_offsets.tolist()

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.cqc.local_search import cells_within_radius, neighbor_cells, search_radius
+from repro.cqc.local_search import cells_within_radius, search_radius
 
 
 class TestSearchRadius:
@@ -13,19 +13,6 @@ class TestSearchRadius:
 
     def test_scales_linearly(self):
         assert search_radius(2.0) == pytest.approx(2 * search_radius(1.0))
-
-
-class TestNeighborCells:
-    def test_three_by_three_block(self):
-        cells = neighbor_cells((5, 5))
-        assert len(cells) == 9
-        assert (5, 5) in cells
-        assert (4, 4) in cells and (6, 6) in cells
-
-    def test_exclude_center(self):
-        cells = neighbor_cells((0, 0), include_center=False)
-        assert len(cells) == 8
-        assert (0, 0) not in cells
 
 
 class TestCellsWithinRadius:

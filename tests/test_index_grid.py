@@ -21,8 +21,7 @@ class TestInsertAndLookup:
         points = np.array([[0.5, 0.5], [0.6, 0.4], [5.5, 5.5]])
         inserted = grid.insert(ids, points)
         assert inserted == 3
-        assert sorted(grid.lookup(0.5, 0.5)) == [1, 2]
-        assert grid.lookup(5.1, 5.9) == [3]
+        assert grid.postings() == {(0, 0): (1, 2), (5, 5): (3,)}
 
     def test_points_outside_rect_ignored(self, grid):
         inserted = grid.insert(np.array([9]), np.array([[20.0, 20.0]]))
@@ -31,16 +30,17 @@ class TestInsertAndLookup:
 
     def test_lookup_outside_rect_empty(self, grid):
         grid.insert(np.array([1]), np.array([[0.5, 0.5]]))
-        assert grid.lookup(50.0, 50.0) == []
+        assert (50, 50) not in grid.postings()
+        assert PartitionIndex(t=0, grids=[grid]).lookup_batch([[50.0, 50.0]]) == [[]]
 
     def test_duplicate_ids_in_cell_stored_once(self, grid):
         grid.insert(np.array([7, 7]), np.array([[0.1, 0.1], [0.2, 0.2]]))
-        assert grid.lookup(0.15, 0.15) == [7]
+        assert grid.postings() == {(0, 0): (7,)}
 
     def test_incremental_insert_extends_posting_list(self, grid):
         grid.insert(np.array([1]), np.array([[0.5, 0.5]]))
         grid.insert(np.array([2]), np.array([[0.4, 0.6]]))
-        assert sorted(grid.lookup(0.5, 0.5)) == [1, 2]
+        assert grid.postings()[(0, 0)] == (1, 2)
 
     def test_alignment_validation(self, grid):
         with pytest.raises(ValueError):
@@ -49,14 +49,8 @@ class TestInsertAndLookup:
     def test_cell_of_is_globally_anchored(self, grid):
         # Cell boundaries sit at multiples of the cell size in absolute
         # coordinates, so the same point maps to the same cell in every grid.
-        assert grid.cell_of(0.5, 0.5) == (0, 0)
-        assert grid.cell_of(1.0, 2.7) == (1, 2)
-        assert grid.cell_of(-0.1, 0.0) == (-1, 0)
-
-    def test_lookup_cells_union(self, grid):
-        grid.insert(np.array([1, 2]), np.array([[0.5, 0.5], [1.5, 0.5]]))
-        result = grid.lookup_cells([(0, 0), (1, 0), (5, 5)])
-        assert result == {1, 2}
+        cells = grid.cells_of(np.array([[0.5, 0.5], [1.0, 2.7], [-0.1, 0.0]]))
+        assert cells.tolist() == [[0, 0], [1, 2], [-1, 0]]
 
     def test_invalid_cell_size(self):
         with pytest.raises(ValueError):
@@ -87,7 +81,7 @@ class TestStatistics:
         points = np.array([[0.5, 0.5], [100.0, 100.0], [9.0, 9.0]])
         assert grid.insert(np.array([1, 2, 3]), points, np.array([True, False, False])) == 1
         assert grid.num_indexed_ids == 1
-        assert grid.lookup(9.0, 9.0) == []
+        assert grid.postings() == {(0, 0): (1,)}
 
     def test_storage_bits_grow_with_content(self, grid):
         empty_bits = grid.storage_bits()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from brute_force import pi_candidates
 from repro.core.config import IndexConfig
 from repro.index.grid import GridIndex
 from repro.index.pi import PartitionIndex, build_partition_index
@@ -33,7 +34,8 @@ class TestBuild:
     def test_empty_slice(self):
         pi = build_partition_index(0, np.empty(0, dtype=int), np.empty((0, 2)), IndexConfig())
         assert pi.num_rectangles == 0
-        assert pi.lookup(0.0, 0.0) == []
+        assert pi.lookup_batch([[0.0, 0.0]]) == [[]]
+        assert pi.lookup_local_batch([[0.0, 0.0]], radius=0.5) == [[]]
 
     def test_rectangles_are_disjoint(self, two_cluster_slice):
         traj_ids, points = two_cluster_slice
@@ -48,7 +50,7 @@ class TestBuild:
         config = IndexConfig(epsilon_s=0.1, grid_cell=0.005)
         pi = build_partition_index(0, traj_ids, points, config)
         x, y = points[0]
-        result = pi.lookup(x, y)
+        result = pi.lookup_batch([[x, y]])[0]
         assert 0 in result
         # All returned trajectories must be close to the query point (within
         # a cell diagonal of the same grid).
@@ -61,8 +63,8 @@ class TestBuild:
         config = IndexConfig(epsilon_s=0.1, grid_cell=0.005)
         pi = build_partition_index(0, traj_ids, points, config)
         x, y = points[5]
-        plain = set(pi.lookup(x, y))
-        local = set(pi.lookup_local(x, y, radius=0.004))
+        plain = set(pi.lookup_batch([[x, y]])[0])
+        local = set(pi.lookup_local_batch([[x, y]], radius=0.004)[0])
         assert plain <= local
 
     def test_covered_mask(self, two_cluster_slice):
@@ -97,7 +99,7 @@ class TestBuild:
                 assert not a.intersects(b)
         # The new points are now covered and findable.
         assert np.all(covered_mask(pi, points[30:]))
-        assert pi.lookup(*points[45]) != []
+        assert pi.lookup_batch(points[45:46])[0] != []
 
     def test_extend_with_empty_is_noop(self, two_cluster_slice):
         traj_ids, points = two_cluster_slice
@@ -112,9 +114,10 @@ class TestBuild:
         pi = build_partition_index(0, traj_ids[:30], points[:30], config)
         other = build_partition_index(0, traj_ids[30:], points[30:], config)
         before = pi.num_rectangles
+        assert pi.lookup_batch(points[45:46]) == [[]]   # builds the cell table
         pi.append_grids(other)
         assert pi.num_rectangles == before + other.num_rectangles
-        assert pi.lookup(*points[45]) != []
+        assert pi.lookup_batch(points[45:46])[0] == pi_candidates(pi, *points[45]) != []
 
 
 class TestContainmentPass:
@@ -153,3 +156,57 @@ class TestContainmentPass:
         assert np.array_equal(covered, reference.any(axis=0))
         for grid, row in zip(pi.grids, reference):
             assert grid.num_indexed_ids == int(row.sum())
+
+
+class TestLookupOracle:
+    """Batched PI lookups against the brute-force reference."""
+
+    @pytest.fixture()
+    def overlapping_pi(self, two_cluster_slice):
+        """A PI with appended, overlapping grids and probes on and off its points."""
+        traj_ids, points = two_cluster_slice
+        config = IndexConfig(epsilon_s=0.1, grid_cell=0.005)
+        pi = build_partition_index(0, traj_ids, points, config)
+        rng = np.random.default_rng(4)
+        for seed in (1, 2):
+            shifted = points + rng.normal(0.0, 0.004, points.shape)
+            pi.insert(traj_ids + 100 * seed, shifted)
+            pi.append_grids(build_partition_index(0, traj_ids + 100 * seed, shifted,
+                                                  config, seed=seed))
+        probes = np.vstack([points, points + rng.normal(0.0, 0.006, points.shape),
+                            [[50.0, 50.0]]])
+        return pi, probes
+
+    @pytest.mark.parametrize("radius", [None, 0.003, 0.005, 0.012])
+    def test_batches_of_one_and_many_match_reference(self, overlapping_pi, radius):
+        pi, probes = overlapping_pi
+
+        def lookup(points):
+            if radius is None:
+                return pi.lookup_batch(points)
+            return pi.lookup_local_batch(points, radius)
+
+        want = [pi_candidates(pi, x, y, radius) for x, y in probes]
+        assert lookup(probes) == want
+        assert [lookup(probes[i:i + 1])[0] for i in range(len(probes))] == want
+        assert sum(map(bool, want)) > len(probes) // 2
+
+    def test_grid_filter_applies_to_cells_straddling_a_rectangle_edge(self):
+        """Cell (3, 0) of side 0.3 spans x in [0.9, 1.2); the grid over
+        [0, 1] x [0, 1] posts ID 7 there.  A query in the same cell but at
+        x = 1.1 lies outside that rectangle, so the plain lookup finds
+        nothing; local search grows the rectangle by radius + g_c and does."""
+        pi = PartitionIndex(t=0, grids=[GridIndex(Rect(0.0, 0.0, 1.0, 1.0), 0.3),
+                                        GridIndex(Rect(1.05, 0.0, 2.0, 1.0), 0.3)])
+        pi.insert(np.array([7, 8]), np.array([[0.95, 0.1], [1.5, 0.5]]))
+        assert pi.lookup_batch([[0.95, 0.1], [1.1, 0.1], [1.02, 0.1]]) == [[7], [], []]
+        assert pi.lookup_local_batch([[1.1, 0.1]], radius=0.1) == [[7]]
+        assert pi.lookup_local_batch([[2.39, 0.1]], radius=0.1) == [[]]
+        for x, y in ((0.95, 0.1), (1.1, 0.1), (1.02, 0.1)):
+            assert pi.lookup_batch([[x, y]])[0] == pi_candidates(pi, x, y)
+
+    def test_grids_of_one_pi_must_share_a_cell_size(self):
+        pi = PartitionIndex(t=0, grids=[GridIndex(Rect(0.0, 0.0, 1.0, 1.0), 0.3),
+                                        GridIndex(Rect(2.0, 0.0, 3.0, 1.0), 0.2)])
+        with pytest.raises(ValueError, match="share a cell size"):
+            pi.lookup_batch([[0.5, 0.5]])

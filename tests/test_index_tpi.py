@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from brute_force import period_index, tpi_candidates
 from repro.core.config import IndexConfig
 from repro.data.synthetic import generate_porto_like
 from repro.data.trajectory import Trajectory, TrajectoryDataset
@@ -138,14 +139,14 @@ class TestLookup:
         tpi = TemporalPartitionIndex(IndexConfig()).build(dataset)
         assert tpi.lookup(0.0, 0.0, 10_000) == []
 
-    def test_period_for_binary_search(self):
+    def test_period_indices_for_binary_search(self):
         dataset = drifting_dataset()
         tpi = TemporalPartitionIndex(IndexConfig(epsilon_s=1.0, grid_cell=0.005)).build(dataset)
-        for t in dataset.timestamps:
-            period = tpi.period_for(t)
-            assert period is not None
-            assert period.start <= t <= period.end
-        assert tpi.period_for(-5) is None
+        found = tpi.period_indices_for(np.asarray(dataset.timestamps))
+        for t, position in zip(dataset.timestamps, found.tolist()):
+            assert position >= 0
+            assert tpi.periods[position].start <= t <= tpi.periods[position].end
+        assert tpi.period_indices_for(np.asarray([-5])).tolist() == [-1]
 
     def test_lookup_local_is_superset_of_plain(self):
         dataset = stable_dataset()
@@ -166,13 +167,11 @@ class TestStatistics:
 
 
 class TestBatchScalarBoundaryEquivalence:
-    """Property tests: the vectorised ``period_indices_for`` / ``lookup_batch``
-    path must agree with the scalar ``period_for`` / ``lookup`` path at every
-    period boundary (the ``searchsorted(..., side="right") - 1`` edge cases).
+    """Period resolution and lookups at every period boundary (the
+    ``searchsorted(..., side="right") - 1`` edge cases) against the
+    brute-force reference: a linear period scan and a plain-Python union of
+    postings.  Lookups run as batches and as batches of one.
     """
-
-    def _index_of(self, tpi, period):
-        return -1 if period is None else tpi.periods.index(period)
 
     def _boundary_ts(self, periods):
         """Every period start/end plus its off-by-one neighbours."""
@@ -184,29 +183,28 @@ class TestBatchScalarBoundaryEquivalence:
                    max(p.end for p in periods) + 10))
         return sorted(ts)
 
+    def _assert_periods_match_reference(self, tpi, ts):
+        got = tpi.period_indices_for(np.asarray(ts)).tolist()
+        assert got == [period_index(tpi.periods, int(t)) for t in ts], \
+            f"layout={[(p.start, p.end) for p in tpi.periods]}"
+
     def test_built_index_boundaries_agree(self):
         tpi = TemporalPartitionIndex(IndexConfig(epsilon_s=1.0, grid_cell=0.005,
                                                  epsilon_c=0.5, epsilon_d=0.5))
         tpi.build(drifting_dataset())
         assert tpi.num_periods >= 2, "need several periods; test is vacuous"
-        ts = self._boundary_ts(tpi.periods)
-        vectorised = tpi.period_indices_for(np.asarray(ts))
-        for t, got in zip(ts, vectorised):
-            assert got == self._index_of(tpi, tpi.period_for(t)), f"t={t}"
+        self._assert_periods_match_reference(tpi, self._boundary_ts(tpi.periods))
 
     def test_fabricated_gapped_periods_agree(self):
-        """Gaps between periods must map to -1, exactly like the scalar path.
+        """Gaps between periods map to -1.
 
         The build path tiles periods contiguously, but nothing in the lookup
-        contract requires it -- the vectorised path has to handle gaps too.
+        contract requires it -- the period search has to handle gaps too.
         """
         tpi = TemporalPartitionIndex(IndexConfig())
         tpi.periods = [TimePeriod(0, 4, None), TimePeriod(10, 14, None),
                        TimePeriod(15, 15, None), TimePeriod(20, 29, None)]
-        ts = self._boundary_ts(tpi.periods)
-        vectorised = tpi.period_indices_for(np.asarray(ts))
-        for t, got in zip(ts, vectorised):
-            assert got == self._index_of(tpi, tpi.period_for(t)), f"t={t}"
+        self._assert_periods_match_reference(tpi, self._boundary_ts(tpi.periods))
 
     def test_randomized_period_layouts_agree(self):
         rng = np.random.default_rng(2024)
@@ -220,35 +218,44 @@ class TestBatchScalarBoundaryEquivalence:
             tpi = TemporalPartitionIndex(IndexConfig())
             tpi.periods = periods
             span = np.arange(periods[0].start - 3, periods[-1].end + 4)
-            vectorised = tpi.period_indices_for(span)
-            for ts, got in zip(span, vectorised):
-                assert got == self._index_of(tpi, tpi.period_for(int(ts))), \
-                    f"t={ts} layout={[(p.start, p.end) for p in periods]}"
+            self._assert_periods_match_reference(tpi, span)
 
     def test_empty_index_and_empty_batch(self):
         tpi = TemporalPartitionIndex(IndexConfig())
         assert tpi.period_indices_for(np.asarray([0, 5])).tolist() == [-1, -1]
         tpi.periods = [TimePeriod(0, 9, None)]
         assert tpi.period_indices_for(np.asarray([], dtype=np.int64)).tolist() == []
+        assert tpi.lookup_batch([], [], []) == []
 
     def test_lookup_batch_agrees_at_boundaries(self):
+        self._assert_lookups_match_reference(radius=None)
+
+    def test_lookup_local_batch_agrees_at_boundaries(self):
+        self._assert_lookups_match_reference(radius=0.002)
+
+    def _assert_lookups_match_reference(self, radius):
         dataset = drifting_dataset()
         tpi = TemporalPartitionIndex(IndexConfig(epsilon_s=1.0, grid_cell=0.005,
                                                  epsilon_c=0.5, epsilon_d=0.5))
         tpi.build(dataset)
         assert tpi.num_periods >= 2
-        boundary_ts = self._boundary_ts(tpi.periods)
-        traj = dataset.get(0)
-        probes = [(float(traj.points[min(max(t, 0), len(traj) - 1), 0]),
-                   float(traj.points[min(max(t, 0), len(traj) - 1), 1]), t)
-                  for t in boundary_ts]
+        probes = []
+        for t in self._boundary_ts(tpi.periods):
+            for tid in (0, 7):
+                traj = dataset.get(tid)
+                row = min(max(t, 0), len(traj) - 1)
+                probes.append((float(traj.points[row, 0]), float(traj.points[row, 1]), t))
         xs, ys, ts = (np.asarray(v) for v in zip(*probes))
-        batched = tpi.lookup_batch(xs, ys, ts)
-        hits = 0
-        for (x, y, t), got in zip(probes, batched):
-            assert got == tpi.lookup(x, y, t), f"t={t}"
-            hits += bool(got)
-        assert hits, "no probe hit the index; comparison is vacuous"
+        if radius is None:
+            batched = tpi.lookup_batch(xs, ys, ts)
+            singles = [tpi.lookup(x, y, t) for x, y, t in probes]
+        else:
+            batched = tpi.lookup_local_batch(xs, ys, ts, radius)
+            singles = [tpi.lookup_local(x, y, t, radius) for x, y, t in probes]
+        want = [tpi_candidates(tpi, x, y, t, radius) for x, y, t in probes]
+        assert batched == want
+        assert singles == want
+        assert sum(map(bool, want)) > len(probes) // 2, "few probes hit the index"
 
 
 class TestInsertSliceActions:

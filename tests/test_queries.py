@@ -8,7 +8,7 @@ from repro.data.trajectory import Trajectory, TrajectoryDataset
 from repro.metrics.accuracy import precision_recall
 from repro.queries.exact import ground_truth_cell_members
 from repro.queries.strq import spatio_temporal_range_query
-from repro.queries.tpq import reconstruct_paths_for_ids, trajectory_path_query
+from repro.queries.tpq import trajectory_path_query
 
 
 class TestSTRQ:
@@ -80,13 +80,6 @@ class TestTPQ:
     def test_invalid_length(self, fitted_ppq_s):
         with pytest.raises(ValueError):
             fitted_ppq_s.tpq(0.0, 0.0, 0, length=0)
-
-    def test_reconstruct_paths_for_ids_protocol(self, fitted_ppq_s, porto_small):
-        ids = porto_small.trajectory_ids[:5]
-        paths = reconstruct_paths_for_ids(fitted_ppq_s.summary, ids, t=3, length=8)
-        assert set(paths) == set(ids)
-        for path in paths.values():
-            assert len(path) <= 8
 
     def test_function_level_api(self, fitted_ppq_s, porto_small):
         traj = porto_small.get(porto_small.trajectory_ids[0])

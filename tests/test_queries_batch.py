@@ -1,11 +1,12 @@
-"""Tests for the batch query subsystem.
+"""Tests for the batch query subsystem, the one query implementation.
 
-The contract of :mod:`repro.queries.batch` is exact equivalence: a batched
-call must return, query by query, the same results as running the scalar
-query functions in a loop.  These tests enforce that on randomized
-workloads (including off-trajectory probes and timestamps outside the
-stream) and cover the workload spec parsing, per-query error isolation and
-the LRU reconstruction cache.
+Every single query is a batch of one, so these tests check the batched
+functions against the brute-force reference of ``tests/brute_force.py``
+(plain Python over each period's rectangles and ``grid.postings()``), on
+batches of many and on loops of batches of one, including off-trajectory
+probes, timestamps outside the stream and period boundaries.  They also
+cover the workload spec parsing, per-query error isolation and the LRU
+reconstruction cache.
 """
 
 import json
@@ -13,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from brute_force import exact_answer, random_probes, tpi_candidates
 from repro.core.summary import ReconstructionCache
 from repro.queries.batch import (
     QuerySpec,
@@ -29,47 +31,58 @@ from repro.queries.strq import spatio_temporal_range_query
 from repro.queries.tpq import TPQResult, trajectory_path_query
 
 
-def random_probes(dataset, num, seed, jitter=0.0):
-    """Random (x, y, t) probes on (or near, with jitter) trajectory points."""
-    rng = np.random.default_rng(seed)
-    probes = []
-    for _ in range(num):
-        tid = int(rng.choice(dataset.trajectory_ids))
-        traj = dataset.get(tid)
-        t = int(rng.integers(0, len(traj)))
-        x, y = traj.points[t] + rng.normal(0.0, jitter, 2)
-        probes.append((float(x), float(y), int(t)))
-    return probes
-
-
 @pytest.fixture(scope="module")
 def engine(fitted_ppq_s) -> QueryEngine:
     return fitted_ppq_s.engine
 
 
+def assert_strq_matches_reference(engine, probes, results, radius):
+    """Candidates equal the brute-force lookup; positions are the summary's."""
+    for (x, y, t), result in zip(probes, results):
+        assert result.candidates == tpi_candidates(engine.index, x, y, t, radius), f"t={t}"
+        if result.reconstructed:
+            assert set(result.reconstructed) == {
+                tid for tid in result.candidates
+                if engine.summary.reconstruct_point(tid, t) is not None}
+            for tid, point in result.reconstructed.items():
+                assert point.tobytes() == engine.summary.reconstruct_point(tid, t).tobytes()
+
+
+def assert_tpq_matches_reference(engine, probes, results, radius):
+    """Paths are the summary's paths of the brute-force candidates."""
+    for (x, y, t, length), result in zip(probes, results):
+        want = {}
+        for tid in tpi_candidates(engine.index, x, y, t, radius):
+            path = engine.summary.reconstruct_path(tid, t, length)
+            if len(path):
+                want[tid] = path
+        assert sorted(result.paths) == sorted(want), f"t={t}"
+        for tid, path in want.items():
+            assert result.paths[tid].tobytes() == path.tobytes()
+
+
 class TestBatchSTRQ:
     def test_equivalent_to_sequential_with_local_search(self, engine, porto_small):
+        """A batch of many and a loop of batches of one both equal the reference."""
         probes = random_probes(porto_small, 30, seed=0, jitter=5e-4)
         radius = engine.local_search_radius
         batched = batch_strq(engine.index, probes, summary=engine.summary,
                              local_search_radius=radius)
-        for (x, y, t), batch in zip(probes, batched):
-            scalar = spatio_temporal_range_query(
-                engine.index, x, y, t, summary=engine.summary, local_search_radius=radius
-            )
-            assert scalar.candidates == batch.candidates
-            assert set(scalar.reconstructed) == set(batch.reconstructed)
-            for tid in scalar.reconstructed:
-                assert (scalar.reconstructed[tid].tobytes()
-                        == batch.reconstructed[tid].tobytes())
+        assert_strq_matches_reference(engine, probes, batched, radius)
+        singles = [spatio_temporal_range_query(engine.index, x, y, t, summary=engine.summary,
+                                               local_search_radius=radius)
+                   for x, y, t in probes]
+        assert_strq_matches_reference(engine, probes, singles, radius)
+        assert sum(bool(r.candidates) for r in batched) > len(probes) // 2
 
     def test_equivalent_without_summary_or_local_search(self, engine, porto_small):
         probes = random_probes(porto_small, 20, seed=1)
         batched = batch_strq(engine.index, probes)
+        assert_strq_matches_reference(engine, probes, batched, None)
+        assert all(b.reconstructed == {} for b in batched)
         for (x, y, t), batch in zip(probes, batched):
-            scalar = spatio_temporal_range_query(engine.index, x, y, t)
-            assert scalar.candidates == batch.candidates
-            assert batch.reconstructed == {}
+            assert spatio_temporal_range_query(engine.index, x, y, t).candidates \
+                == batch.candidates
 
     def test_queries_outside_stream_return_empty(self, engine):
         batched = batch_strq(engine.index, [(0.0, 0.0, 99_999), (5.0, 5.0, -3)])
@@ -85,6 +98,30 @@ class TestBatchSTRQ:
                              local_search_radius=engine.local_search_radius)
         assert batched[0].candidates == engine.strq(x, y, t).candidates
 
+    def test_new_points_are_found_after_insert_slice(self):
+        """A query, an ``insert_slice`` into the same period, and the same query
+        again: the second answer holds the new IDs (the PI's cell table is
+        dropped by every insert and append)."""
+        from repro.core.config import IndexConfig
+        from repro.index.tpi import TemporalPartitionIndex
+
+        config = IndexConfig(epsilon_s=1.0, grid_cell=0.01, epsilon_c=0.99, epsilon_d=0.99)
+        tpi = TemporalPartitionIndex(config)
+        points = np.array([[0.005, 0.005], [0.105, 0.105]])
+        xs, ys = points[:, 0], points[:, 1]
+        tpi.insert_slice(0, np.array([1, 2]), points)
+        assert tpi.lookup_batch(xs, ys, [0, 0]) == [[1], [2]]
+        # Covered points go into the period's existing grids ("reuse").
+        assert tpi.insert_slice(1, np.array([3, 4]), points) == "reuse"
+        assert tpi.lookup_batch(xs, ys, [1, 1]) == [[1, 3], [2, 4]]
+        # An uncovered point gets new grids appended to the period ("insert").
+        far = np.array([[5.005, 5.005]])
+        assert tpi.insert_slice(2, np.array([1, 2, 9]), np.vstack([points, far])) == "insert"
+        assert tpi.lookup(5.005, 5.005, 2) == [9]
+        assert tpi.lookup_local(0.005, 0.005, 2, radius=0.001) == [1, 3]
+        for x, y, t in ((0.005, 0.005, 1), (5.005, 5.005, 2), (0.105, 0.105, 0)):
+            assert tpi.lookup(x, y, t) == tpi_candidates(tpi, x, y, t)
+
 
 class TestBatchTPQ:
     def test_equivalent_to_sequential(self, engine, porto_small):
@@ -94,25 +131,20 @@ class TestBatchTPQ:
         radius = engine.local_search_radius
         batched = batch_tpq(engine.index, engine.summary, probes,
                             local_search_radius=radius)
-        for (x, y, t, length), batch in zip(probes, batched):
-            scalar = trajectory_path_query(
-                engine.index, engine.summary, x, y, t, length, local_search_radius=radius
-            )
-            assert set(scalar.paths) == set(batch.paths)
-            for tid in scalar.paths:
-                assert scalar.paths[tid].tobytes() == batch.paths[tid].tobytes()
+        assert_tpq_matches_reference(engine, probes, batched, radius)
+        singles = [trajectory_path_query(engine.index, engine.summary, x, y, t, length,
+                                         local_search_radius=radius)
+                   for x, y, t, length in probes]
+        assert_tpq_matches_reference(engine, probes, singles, radius)
 
     def test_paths_truncated_at_stream_end_match_sequential(self, engine, porto_small):
         t = max(porto_small.timestamps) - 2
         probes = [(x, y, t, 10) for x, y, _ in random_probes(porto_small, 5, seed=4)]
         radius = engine.local_search_radius
         batched = batch_tpq(engine.index, engine.summary, probes, local_search_radius=radius)
-        for (x, y, t_q, length), batch in zip(probes, batched):
-            scalar = trajectory_path_query(
-                engine.index, engine.summary, x, y, t_q, length, local_search_radius=radius
-            )
-            assert set(scalar.paths) == set(batch.paths)
-            for tid, path in batch.paths.items():
+        assert_tpq_matches_reference(engine, probes, batched, radius)
+        for batch in batched:
+            for path in batch.paths.values():
                 assert len(path) <= 3
 
     def test_invalid_length_rejected(self, engine):
@@ -124,15 +156,20 @@ class TestBatchExact:
     def test_equivalent_to_sequential(self, engine, porto_small):
         probes = random_probes(porto_small, 25, seed=5, jitter=3e-4)
         cell = engine.index_config.grid_cell
+        radius = engine.local_search_radius
         batched = batch_exact(engine.index, engine.summary, porto_small, probes,
                               cell_size=cell)
-        for (x, y, t), batch in zip(probes, batched):
-            scalar = exact_match_query(
-                engine.index, engine.summary, porto_small, x, y, t, cell_size=cell
-            )
-            assert scalar.candidates == batch.candidates
-            assert scalar.matches == batch.matches
-            assert scalar.visited_ratio == batch.visited_ratio
+        singles = [exact_match_query(engine.index, engine.summary, porto_small, x, y, t,
+                                     cell_size=cell) for x, y, t in probes]
+        for (x, y, t), batch, single in zip(probes, batched, singles):
+            candidates, matches = exact_answer(engine.index, engine.summary, porto_small,
+                                               x, y, t, cell, radius)
+            active = len(porto_small.time_slice(t))
+            for result in (batch, single):
+                assert result.candidates == candidates
+                assert result.matches == matches
+                assert result.visited_ratio == len(candidates) / active
+        assert any(batch.matches for batch in batched)
 
 
 class TestRunBatch:
@@ -149,16 +186,21 @@ class TestRunBatch:
         specs = self.build_workload(porto_small)
         results = engine.run_batch(specs)
         assert len(results) == len(specs)
+        radius = engine.local_search_radius
+        cell = engine.index_config.grid_cell
         for spec, result in zip(specs, results):
-            assert (result.x, result.y, result.t) == (spec.x, spec.y, spec.t)
+            x, y, t = spec.x, spec.y, spec.t
+            assert (result.x, result.y, result.t) == (x, y, t)
             if spec.kind == "strq":
-                assert result.candidates == engine.strq(spec.x, spec.y, spec.t).candidates
+                assert result.candidates == tpi_candidates(engine.index, x, y, t, radius)
+                assert result.candidates == engine.strq(x, y, t).candidates
             elif spec.kind == "tpq":
-                scalar = engine.tpq(spec.x, spec.y, spec.t, spec.length)
-                assert set(result.paths) == set(scalar.paths)
+                assert_tpq_matches_reference(engine, [(x, y, t, spec.length)], [result], radius)
+                assert sorted(result.paths) == sorted(engine.tpq(x, y, t, spec.length).paths)
             else:
-                scalar = engine.exact(spec.x, spec.y, spec.t)
-                assert result.matches == scalar.matches
+                _, matches = exact_answer(engine.index, engine.summary, porto_small,
+                                          x, y, t, cell, radius)
+                assert result.matches == matches == engine.exact(x, y, t).matches
 
     def test_accepts_workload_object_and_dicts(self, engine, porto_small):
         x, y, t = random_probes(porto_small, 1, seed=7)[0]
@@ -200,8 +242,9 @@ class TestBatchIsolation:
         assert "raw dataset" in results[1].message
 
     def test_isolated_errors_keep_positions_aligned(self, engine, porto_small, monkeypatch):
-        """TPQs at chosen positions raise: their slots hold the errors, and
-        the other TPQs and the STRQs answer as they do unpatched."""
+        """``batch_tpq`` raises on chosen TPQs: the whole TPQ batch fails, its
+        re-run as batches of one fails only at those positions, and the
+        other TPQs and the STRQs answer as they do unpatched."""
         probes = random_probes(porto_small, 10, seed=13)
         assert len(set(probes)) == len(probes)
         workload = Workload.from_obj(
@@ -210,19 +253,17 @@ class TestBatchIsolation:
         expected = engine.run_batch(workload)
         failing = {3, 7}
         poisoned = {probes[i] for i in failing}
+        real_batch_tpq = engine_module.batch_tpq
 
-        def batch_fails(*_args, **_kwargs):
-            raise ValueError("batched TPQ pass failed")
+        def batch_fails_on_poisoned(index, summary, queries, **kwargs):
+            hits = [spec for spec in queries if (spec.x, spec.y, spec.t) in poisoned]
+            if len(hits) > 1:
+                raise ValueError("batched TPQ pass failed")
+            if hits:
+                raise ValueError(f"poisoned TPQ at t={hits[0].t}")
+            return real_batch_tpq(index, summary, queries, **kwargs)
 
-        scalar_tpq = engine_module.trajectory_path_query
-
-        def scalar_fails_on_poisoned(index, summary, x, y, t, length, **kwargs):
-            if (x, y, t) in poisoned:
-                raise ValueError(f"poisoned TPQ at t={t}")
-            return scalar_tpq(index, summary, x, y, t, length, **kwargs)
-
-        monkeypatch.setattr(engine_module, "batch_tpq", batch_fails)
-        monkeypatch.setattr(engine_module, "trajectory_path_query", scalar_fails_on_poisoned)
+        monkeypatch.setattr(engine_module, "batch_tpq", batch_fails_on_poisoned)
         with pytest.raises(ValueError, match="batched TPQ pass failed"):
             engine.run_batch(workload)
         results = engine.run_batch(workload, isolate=True)
@@ -331,9 +372,9 @@ class TestMalformedWorkloads:
 
 
 class TestPeriodBoundaryEquivalence:
-    """Batch vs scalar equivalence at TPI partition boundaries (the
-    ``searchsorted(..., side="right") - 1`` edge of the vectorised scan).
-    """
+    """Queries pinned to every period's first and last timestamp (and one
+    either side) equal the brute-force reference, as a batch and as a loop
+    of batches of one."""
 
     def _boundary_probes(self, engine, dataset):
         """Probes pinned to every period's exact start/end (and ±1)."""
@@ -354,22 +395,19 @@ class TestPeriodBoundaryEquivalence:
         radius = engine.local_search_radius
         batched = batch_strq(engine.index, probes, summary=engine.summary,
                              local_search_radius=radius)
-        for (x, y, t), batch in zip(probes, batched):
-            scalar = spatio_temporal_range_query(
-                engine.index, x, y, t, summary=engine.summary,
-                local_search_radius=radius)
-            assert scalar.candidates == batch.candidates, f"t={t}"
+        assert_strq_matches_reference(engine, probes, batched, radius)
+        singles = [engine.strq(x, y, t) for x, y, t in probes]
+        assert_strq_matches_reference(engine, probes, singles, radius)
+        assert len(engine.index.periods) >= 2
 
     def test_tpq_at_period_boundaries(self, engine, porto_small):
         probes = [(x, y, t, 6) for x, y, t
                   in self._boundary_probes(engine, porto_small)]
         batched = batch_tpq(engine.index, engine.summary, probes)
-        for (x, y, t, length), batch in zip(probes, batched):
-            scalar = trajectory_path_query(engine.index, engine.summary,
-                                           x, y, t, length)
-            assert set(scalar.paths) == set(batch.paths), f"t={t}"
-            for tid in scalar.paths:
-                assert np.array_equal(scalar.paths[tid], batch.paths[tid])
+        assert_tpq_matches_reference(engine, probes, batched, None)
+        singles = [trajectory_path_query(engine.index, engine.summary, *probe)
+                   for probe in probes]
+        assert_tpq_matches_reference(engine, probes, singles, None)
 
 
 class TestReconstructionCache:

@@ -630,6 +630,25 @@ def _bad_cell_size(arrays):
     arrays["grids"][0, 4] = 0.0
 
 
+def _foreign_cell_size(arrays):
+    arrays["grids"][-1, 4] *= 2.0   # positive, but not CONFIG's grid_cell
+
+
+def _periods_out_of_order(arrays):
+    assert len(arrays["periods"]) >= 3
+    _swap_next(arrays["periods"], 1)
+
+
+def _period_ends_before_start(arrays):
+    periods = arrays["periods"]
+    periods[-1, 1] = periods[-1, 0] - 1
+
+
+def _periods_overlap(arrays):
+    periods = arrays["periods"]
+    periods[1, 0] = periods[0, 1]
+
+
 #: Case -> (mutation of the INDEX arrays, what the strict load's error says).
 _MALFORMED_INDEX = {
     "decreasing-offsets": (_decrease_offsets, "id_offsets do not split"),
@@ -641,6 +660,11 @@ _MALFORMED_INDEX = {
     "repeated-id": (_repeated_id, "ids are not strictly ascending"),
     "bad-rectangle": (_bad_rectangle, "degenerate rectangle"),
     "bad-cell-size": (_bad_cell_size, "non-positive cell size"),
+    "foreign-cell-size": (_foreign_cell_size, "cell size is not CONFIG's grid_cell"),
+    "periods-out-of-order": (_periods_out_of_order, "periods are not ascending and disjoint"),
+    "period-ends-before-start": (_period_ends_before_start,
+                                 "periods are not ascending and disjoint"),
+    "periods-overlap": (_periods_overlap, "periods are not ascending and disjoint"),
 }
 
 
